@@ -1,11 +1,11 @@
 #!/bin/sh
 # Multi-threaded gate for the dynamic-update engine: re-runs the dynamic
-# test binaries with RPMIS_THREADS=8 so the parallel_resolve path (full
-# re-solves through RunLinearTimePerComponent) genuinely runs on the
-# multi-threaded scheduler. The single-threaded runs happen in the normal
-# ctest pass; ASan/UBSan coverage comes from scripts/check_sanitize.sh,
-# which builds and runs the full suite — these binaries included — under
-# RPMIS_SANITIZE=address.
+# test binaries with RPMIS_THREADS=8, so the graph snapshots the engine
+# builds for its re-solves go through the Graph::FromEdges dispatch with
+# the parallel CSR build enabled; the maintained set must not change. The
+# single-threaded runs happen in the normal ctest pass; ASan/UBSan
+# coverage comes from scripts/check_sanitize.sh, which builds and runs
+# the full suite — these binaries included — under RPMIS_SANITIZE=address.
 #
 # Usage: check_dynamic.sh <test-binary> [<test-binary>...]
 set -eu

@@ -2,8 +2,8 @@
 # ThreadSanitizer gate for the component-parallel solve path: builds a
 # dedicated tree with RPMIS_SANITIZE=thread and runs the suites that
 # exercise cross-thread code (the parallel component scheduler, the
-# parallel CSR build, the parallel dominance/compaction prepasses, and the
-# benchkit measurement plumbing) with RPMIS_THREADS=8 so the scheduler
+# parallel CSR builds — Graph::FromEdges, CompactCsr and NearLinear's
+# compact edge lists — and the benchkit measurement plumbing) with RPMIS_THREADS=8 so the scheduler
 # genuinely runs multi-threaded under the race detector. Companion to
 # scripts/check_sanitize.sh (ASan/UBSan over the full suite).
 set -eu

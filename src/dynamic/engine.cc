@@ -24,17 +24,14 @@ namespace {
 
 DynamicMisEngine::DynamicMisEngine(const Graph& g, const DynamicPolicy& policy)
     : policy_(policy), adj_(g) {
-  ReductionTrace trace;
   LinearTimeOptions opt;
-  if (policy_.record_provenance) opt.trace = &trace;
+  opt.peeled = &peeled_;
   const MisSolution sol = RunLinearTime(g, nullptr, opt);
 
   in_set_ = sol.in_set;
   size_ = sol.size;
   upper_ = sol.UpperBound();
   base_gap_ = sol.residual_peeled;
-  peeled_ = policy_.record_provenance ? trace.PeeledMask(g.NumVertices())
-                                      : std::vector<uint8_t>(g.NumVertices(), 0);
   in_count_.assign(g.NumVertices(), 0);
   seen_.Resize(g.NumVertices());
   sub_id_.assign(g.NumVertices(), kInvalidVertex);
@@ -327,14 +324,11 @@ void DynamicMisEngine::ResolveComponent(std::span<const Vertex> seeds) {
   const Graph sub =
       Graph::FromEdges(static_cast<Vertex>(comp.size()), edges);
 
-  ReductionTrace trace;
+  std::vector<uint8_t> sub_peeled;
   LinearTimeOptions opt;
-  if (policy_.record_provenance) opt.trace = &trace;
+  opt.peeled = &sub_peeled;
   const MisSolution sol = RunLinearTime(sub, nullptr, opt);
 
-  const std::vector<uint8_t> sub_peeled =
-      policy_.record_provenance ? trace.PeeledMask(sub.NumVertices())
-                                : std::vector<uint8_t>(sub.NumVertices(), 0);
   for (Vertex v : comp) {
     const Vertex s = sub_id_[v];
     if (in_set_[v]) --size_;
@@ -359,22 +353,9 @@ void DynamicMisEngine::Resolve() {
   obs::TraceSpan span(obs::Trace(), "dynamic.full_resolve");
   const Graph g = CurrentGraph();
 
-  MisSolution sol;
-  std::vector<uint8_t> peeled;
-  if (policy_.parallel_resolve) {
-    // Parallel component solves cannot share one trace; provenance goes
-    // coarse (everything "exact"), which only shifts eviction tie-breaks.
-    sol = RunLinearTimePerComponent(g, {.parallel = true});
-    peeled.assign(g.NumVertices(), 0);
-  } else {
-    ReductionTrace trace;
-    LinearTimeOptions opt;
-    if (policy_.record_provenance) opt.trace = &trace;
-    sol = RunLinearTime(g, nullptr, opt);
-    peeled = policy_.record_provenance
-                 ? trace.PeeledMask(g.NumVertices())
-                 : std::vector<uint8_t>(g.NumVertices(), 0);
-  }
+  LinearTimeOptions opt;
+  opt.peeled = &peeled_;
+  MisSolution sol = RunLinearTime(g, nullptr, opt);
 
   // Dead ids appear isolated in the snapshot, so the solver includes each
   // of them (degree-zero rule) and they inflate both size and the bound
@@ -387,7 +368,6 @@ void DynamicMisEngine::Resolve() {
     }
   }
   in_set_ = std::move(sol.in_set);
-  peeled_ = std::move(peeled);
   size_ = sol.size - dead;
   upper_ = sol.size + sol.residual_peeled - dead;
   base_gap_ = upper_ - size_;

@@ -1,5 +1,5 @@
 // Dynamic-update engine: maintains a near-maximum independent set under
-// edge/vertex insertions and deletions (ISSUE 5 tentpole; DESIGN.md §9).
+// edge/vertex insertions and deletions (DESIGN.md §9).
 //
 // The engine wraps a LinearTime solve of the starting graph and keeps its
 // solution repaired instead of re-solving from scratch per update. The
@@ -12,7 +12,7 @@
 //     for the exclusion is gone — the vertex becomes *free* and joins the
 //     repair frontier. The cone of an update is precisely the set of
 //     vertices whose exclusion reasons it invalidated.
-//   * a per-vertex peeled/exact flag from the ReductionTrace, steering
+//   * a per-vertex peeled/exact flag (LinearTimeOptions::peeled), steering
 //     which endpoint is evicted when an inserted edge lands inside the
 //     set (prefer undoing a peel decision over an exact reduction).
 //
@@ -56,12 +56,6 @@ struct DynamicPolicy {
   double cone_fraction = 0.02;
   double max_gap = 0.005;
   uint32_t min_slack = 4;
-  /// Solve full re-solves with RunLinearTimePerComponent(parallel). The
-  /// maintained set is identical either way; provenance becomes coarse
-  /// (no peel flags), slightly changing later eviction tie-breaks.
-  bool parallel_resolve = false;
-  /// Track per-vertex peeled/exact provenance from reduction traces.
-  bool record_provenance = true;
 };
 
 /// Aggregate counters over the engine's lifetime.

@@ -65,10 +65,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
   sol.in_set.assign(n, 0);
   uint64_t in_count = 0;  // running |I| for progress samples
 
-  // Optional provenance log; all event ids are input ids (via to_orig).
-  ReductionTrace* rtrace = options.trace;
-  if (rtrace != nullptr) rtrace->Clear();
-
   MutableCsr csr(g);
   // Current id -> input id (identity until the first compaction). Decisions
   // (in_set, peeled, deferred) are always recorded in input ids.
@@ -87,9 +83,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       sol.in_set[v] = 1;
       ++in_count;
       ++sol.rules.degree_zero;
-      if (rtrace != nullptr) {
-        rtrace->Append(ReductionRule::kDegreeZeroInclude, v);
-      }
     } else {
       ++active;
       if (deg[v] == 1) {
@@ -144,9 +137,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
         sol.in_set[to_orig[w]] = 1;
         ++in_count;
         --active;
-        if (rtrace != nullptr) {
-          rtrace->Append(ReductionRule::kDegreeZeroInclude, to_orig[w]);
-        }
       }
     }
   };
@@ -183,7 +173,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     if (is_cycle) {
       ++sol.rules.degree_two_path;
       // Degree-two cycle: drop u; the rest unravels by degree-one steps.
-      if (rtrace != nullptr) rtrace->Append(ReductionRule::kPathCycle, to_orig[u]);
       delete_vertex(u);
       return;
     }
@@ -202,7 +191,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     if (v == w) {
       // Case 1: common attachment; exclude it, path unravels degree-one.
       ++sol.rules.degree_two_path;
-      if (rtrace != nullptr) rtrace->Append(ReductionRule::kPathCommon, to_orig[v]);
       delete_vertex(v);
       return;
     }
@@ -211,9 +199,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       if (vw_edge) {
         // Case 2: drop both attachments; path unravels degree-one.
         ++sol.rules.degree_two_path;
-        if (rtrace != nullptr) {
-          rtrace->Append(ReductionRule::kPathAttachments, to_orig[v], to_orig[w]);
-        }
         delete_vertex(v);
         if (alive[w]) delete_vertex(w);
         return;
@@ -232,10 +217,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       for (size_t i = l; i-- > 1;) {
         deferred.push_back({to_orig[path[i]], to_orig[path[i - 1]],
                             i + 1 < l ? to_orig[path[i + 1]] : to_orig[w]});
-        if (rtrace != nullptr) {
-          const DeferredDecision& d = deferred.back();
-          rtrace->Append(ReductionRule::kPathDefer, d.v, d.nb1, d.nb2);
-        }
       }
       for (size_t i = 1; i < l; ++i) {
         alive[path[i]] = 0;
@@ -250,17 +231,10 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     // Even path: drop all of it; attachments each lose exactly one edge.
     // Defer decisions so pops run v_1, v_2, ..., v_l.
     ++sol.rules.degree_two_path;
-    if (rtrace != nullptr) {
-      rtrace->Append(ReductionRule::kPathEvenDrop, to_orig[v], to_orig[w]);
-    }
     for (size_t i = l; i-- > 0;) {
       deferred.push_back({to_orig[path[i]],
                           i > 0 ? to_orig[path[i - 1]] : to_orig[v],
                           i + 1 < l ? to_orig[path[i + 1]] : to_orig[w]});
-      if (rtrace != nullptr) {
-        const DeferredDecision& d = deferred.back();
-        rtrace->Append(ReductionRule::kPathDefer, d.v, d.nb1, d.nb2);
-      }
     }
     for (size_t i = 0; i < l; ++i) {
       alive[path[i]] = 0;
@@ -366,9 +340,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       if (!alive[u] || deg[u] != 1) continue;
       const Vertex nb = first_alive_neighbor(u);
       RPMIS_DASSERT(nb != kInvalidVertex);
-      if (rtrace != nullptr) {
-        rtrace->Append(ReductionRule::kDegreeOneExclude, to_orig[nb], to_orig[u]);
-      }
       delete_vertex(nb);
       ++sol.rules.degree_one;
       continue;
@@ -399,7 +370,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     }
     peeled[to_orig[u]] = 1;
     ++sol.rules.peels;
-    if (rtrace != nullptr) rtrace->Append(ReductionRule::kPeel, to_orig[u]);
     delete_vertex(u);
   }
   }  // core_span
@@ -416,6 +386,7 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     if (peeled[x] && !sol.in_set[x]) ++sol.residual_peeled;
   }
   sol.provably_maximum = (sol.residual_peeled == 0);
+  if (options.peeled != nullptr) *options.peeled = std::move(peeled);
   return sol;
 }
 
@@ -424,8 +395,8 @@ MisSolution RunLinearTimePerComponent(const Graph& g,
                                       const LinearTimeOptions& options) {
   LinearTimeOptions sub_options = options;
   // Component sub-solves run in renamed id spaces (and concurrently under
-  // opts.parallel); a shared trace would interleave meaningless ids.
-  sub_options.trace = nullptr;
+  // opts.parallel); a shared bitmap would mix meaningless ids.
+  sub_options.peeled = nullptr;
   const auto algo = [sub_options](const Graph& sub) {
     return RunLinearTime(sub, nullptr, sub_options);
   };

@@ -22,7 +22,6 @@
 
 #include "graph/graph.h"
 #include "mis/per_component.h"
-#include "mis/reduction_trace.h"
 #include "mis/solution.h"
 
 namespace rpmis {
@@ -32,10 +31,10 @@ struct LinearTimeOptions {
   /// byte-identical with compaction disabled or at any threshold.
   CompactionOptions compaction;
 
-  /// When non-null, receives the reduction provenance log (input-graph
-  /// ids, see mis/reduction_trace.h). Recording never influences the
+  /// When non-null, receives one flag per input vertex: 1 iff the vertex
+  /// was peeled (inexact removal). Requesting it never influences the
   /// solve; the solution is byte-identical with or without it.
-  ReductionTrace* trace = nullptr;
+  std::vector<uint8_t>* peeled = nullptr;
 };
 
 /// Computes a maximal independent set of g with LinearTime. If `capture`

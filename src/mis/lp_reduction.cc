@@ -1,11 +1,7 @@
 #include "mis/lp_reduction.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <queue>
-
-#include "support/parallel.h"
 
 namespace rpmis {
 
@@ -59,12 +55,7 @@ uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
   }
 
   // Layered BFS from free left vertices; true iff an augmenting path exists.
-  // Only the level structure dist[] matters downstream (the augmenting DFS
-  // is a separate, strictly in-order pass), and BFS distances are canonical
-  // regardless of the order vertices inside one level are expanded. That
-  // makes the level-synchronous parallel variant below byte-identical to
-  // this serial loop.
-  auto bfs_serial = [&]() {
+  auto bfs = [&]() {
     bfs_queue.clear();
     for (Vertex l = 0; l < left; ++l) {
       if (ml[l] == kInvalidVertex) {
@@ -91,84 +82,47 @@ uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
     return found;
   };
 
-  // Level-synchronous parallel BFS. Each level's frontier is expanded by
-  // all threads; a vertex is claimed for the next level with a CAS on its
-  // dist entry, so exactly one thread enqueues it. Which thread wins is
-  // scheduling-dependent, but the claimed VALUE (level + 1) and therefore
-  // the resulting dist[] array — the only BFS output the matching reads —
-  // are identical to the serial pass.
-  std::vector<std::vector<Vertex>> next_local;
-  auto bfs_parallel = [&](size_t threads) {
-    bfs_queue.clear();
-    for (Vertex l = 0; l < left; ++l) {
-      if (ml[l] == kInvalidVertex) {
-        dist[l] = 0;
-        bfs_queue.push_back(l);
-      } else {
-        dist[l] = kInf;
+  // DFS along the layer structure from the free vertex `root`, augmenting
+  // on success. Iterative (augmenting paths can be ~n/2 long): each frame
+  // holds a left vertex and its current arc, so arcs are tried in CSR
+  // order exactly as a recursive DFS would. A left vertex whose arcs are
+  // exhausted leaves the layer structure (dist = kInf) for this phase.
+  struct Frame {
+    Vertex l;
+    uint64_t arc;
+  };
+  std::vector<Frame> path;
+  auto dfs = [&](Vertex root) -> bool {
+    path.assign(1, Frame{root, csr.offsets[root]});
+    while (!path.empty()) {
+      Frame& f = path.back();
+      if (f.arc == csr.offsets[f.l + 1]) {
+        dist[f.l] = kInf;
+        path.pop_back();
+        if (!path.empty()) ++path.back().arc;
+        continue;
       }
-    }
-    next_local.assign(threads, {});
-    std::vector<Vertex> frontier = bfs_queue;
-    std::atomic<bool> found{false};
-    uint32_t level = 0;
-    while (!frontier.empty()) {
-      const size_t chunk = (frontier.size() + threads - 1) / threads;
-      RunParallel(threads, [&](size_t t) {
-        std::vector<Vertex>& next = next_local[t];
-        next.clear();
-        const size_t lo = t * chunk;
-        const size_t hi = std::min(frontier.size(), lo + chunk);
-        for (size_t i = lo; i < hi; ++i) {
-          const Vertex l = frontier[i];
-          for (uint64_t e = csr.offsets[l]; e < csr.offsets[l + 1]; ++e) {
-            const Vertex r = csr.targets[e];
-            const Vertex l2 = mr[r];
-            if (l2 == kInvalidVertex) {
-              found.store(true, std::memory_order_relaxed);
-            } else {
-              uint32_t expect = kInf;
-              if (std::atomic_ref<uint32_t>(dist[l2]).compare_exchange_strong(
-                      expect, level + 1, std::memory_order_relaxed)) {
-                next.push_back(l2);
-              }
-            }
-          }
+      const Vertex l2 = mr[csr.targets[f.arc]];
+      if (l2 == kInvalidVertex) {
+        for (const Frame& p : path) {
+          const Vertex r = csr.targets[p.arc];
+          ml[p.l] = r;
+          mr[r] = p.l;
         }
-      });
-      frontier.clear();
-      for (std::vector<Vertex>& local : next_local) {
-        frontier.insert(frontier.end(), local.begin(), local.end());
-      }
-      ++level;
-    }
-    return found.load(std::memory_order_relaxed);
-  };
-
-  auto bfs = [&]() {
-    const size_t threads = NumThreads();
-    if (threads > 1 && left >= 2048) return bfs_parallel(threads);
-    return bfs_serial();
-  };
-
-  // DFS along the layer structure, augmenting on success.
-  auto dfs = [&](auto&& self, Vertex l) -> bool {
-    for (uint64_t e = csr.offsets[l]; e < csr.offsets[l + 1]; ++e) {
-      const Vertex r = csr.targets[e];
-      const Vertex l2 = mr[r];
-      if (l2 == kInvalidVertex || (dist[l2] == dist[l] + 1 && self(self, l2))) {
-        ml[l] = r;
-        mr[r] = l;
         return true;
       }
+      if (dist[l2] == dist[f.l] + 1) {
+        path.push_back(Frame{l2, csr.offsets[l2]});
+      } else {
+        ++f.arc;
+      }
     }
-    dist[l] = kInf;
     return false;
   };
 
   while (bfs()) {
     for (Vertex l = 0; l < left; ++l) {
-      if (ml[l] == kInvalidVertex && dfs(dfs, l)) ++matching;
+      if (ml[l] == kInvalidVertex && dfs(l)) ++matching;
     }
   }
 

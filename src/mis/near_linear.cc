@@ -11,7 +11,7 @@
 #include "obs/obs.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
-#include "support/parallel.h"
+#include "support/fast_set.h"
 
 namespace rpmis {
 
@@ -43,122 +43,35 @@ bool DominatedBy(const Graph& g, const std::vector<uint8_t>& alive,
   return false;
 }
 
-// Removes u (known dominated): neighbours lose a degree, isolated ones
-// join I. Shared by the serial and parallel finalize paths.
-void RemoveDominated(const Graph& g, std::vector<uint8_t>& alive,
-                     std::vector<uint32_t>& deg, std::vector<uint8_t>& in_set,
-                     Vertex u) {
-  alive[u] = 0;
-  for (Vertex x : g.Neighbors(u)) {
-    if (!alive[x]) continue;
-    if (--deg[x] == 0) in_set[x] = 1;
-  }
-}
-
 }  // namespace
 
 uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
                           std::vector<uint32_t>& deg,
-                          std::vector<uint8_t>& in_set,
-                          DominanceScratch& scratch) {
+                          std::vector<uint8_t>& in_set) {
   const Vertex n = g.NumVertices();
   // Count-sort vertices by decreasing initial degree: high-degree vertices
-  // are the likely dominated ones and removing them shrinks Δ. Degrees are
-  // cached once (the sort needs each three times).
-  scratch.order.resize(n);
-  scratch.initial_deg.resize(n);
-  uint32_t max_deg = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    scratch.initial_deg[v] = g.Degree(v);
-    max_deg = std::max(max_deg, scratch.initial_deg[v]);
-  }
-  scratch.bucket.assign(static_cast<size_t>(max_deg) + 2, 0);
-  for (Vertex v = 0; v < n; ++v) ++scratch.bucket[max_deg - scratch.initial_deg[v] + 1];
-  for (size_t i = 1; i < scratch.bucket.size(); ++i) {
-    scratch.bucket[i] += scratch.bucket[i - 1];
-  }
-  for (Vertex v = 0; v < n; ++v) {
-    scratch.order[scratch.bucket[max_deg - scratch.initial_deg[v]]++] = v;
-  }
+  // are the likely dominated ones and removing them shrinks Δ.
+  const uint32_t max_deg = g.MaxDegree();
+  std::vector<uint32_t> bucket(static_cast<size_t>(max_deg) + 2, 0);
+  for (Vertex v = 0; v < n; ++v) ++bucket[max_deg - g.Degree(v) + 1];
+  for (size_t i = 1; i < bucket.size(); ++i) bucket[i] += bucket[i - 1];
+  std::vector<Vertex> order(n);
+  for (Vertex v = 0; v < n; ++v) order[bucket[max_deg - g.Degree(v)]++] = v;
 
-  const size_t threads = NumThreads();
-  const bool parallel = threads > 1 && n >= 512;
-  const size_t want_marks = parallel ? threads : 1;
-  if (scratch.marks.size() < want_marks) scratch.marks.resize(want_marks);
-  for (size_t t = 0; t < want_marks; ++t) {
-    if (scratch.marks[t].Universe() < n) scratch.marks[t].Resize(n);
-  }
-
+  FastSet mark(n);
   uint64_t removed = 0;
-  if (!parallel) {
-    FastSet& mark = scratch.marks[0];
-    for (Vertex u : scratch.order) {
-      if (!alive[u] || deg[u] == 0) continue;
-      if (!DominatedBy(g, alive, deg, u, mark)) continue;
-      ++removed;
-      RemoveDominated(g, alive, deg, in_set, u);
-    }
-    return removed;
-  }
-
-  // Parallel variant, byte-identical to the serial loop above at any
-  // thread count: the order is processed in blocks; within a block every
-  // vertex is screened concurrently against the block-start state (pure
-  // reads), then the block is finalized serially in order. A finalize
-  // removal invalidates cached verdicts only within distance two, so the
-  // serial pass recomputes a vertex iff it or one of its neighbours is
-  // dirty — every state location the predicate reads (deg/alive of
-  // N(u), alive of N(v) for v in N(u)) is covered by that test, so the
-  // outcome matches the serial pass exactly.
-  const Vertex block = static_cast<Vertex>(
-      std::max<size_t>(8192, static_cast<size_t>(n) / 64));
-  scratch.screened.resize(n);
-  if (scratch.dirty.Universe() < n) scratch.dirty.Resize(n);
-  FastSet& dirty = scratch.dirty;
-  for (Vertex lo = 0; lo < n; lo += block) {
-    const Vertex hi = std::min<Vertex>(n, lo + block);
-    const size_t span = hi - lo;
-    RunParallel(threads, [&](size_t t) {
-      const Vertex b = lo + static_cast<Vertex>(span * t / threads);
-      const Vertex e = lo + static_cast<Vertex>(span * (t + 1) / threads);
-      FastSet& mark = scratch.marks[t];
-      for (Vertex i = b; i < e; ++i) {
-        const Vertex u = scratch.order[i];
-        scratch.screened[i] = alive[u] && deg[u] > 0 &&
-                              DominatedBy(g, alive, deg, u, mark);
-      }
-    });
-    dirty.Clear();
-    for (Vertex i = lo; i < hi; ++i) {
-      const Vertex u = scratch.order[i];
-      if (!alive[u] || deg[u] == 0) continue;
-      bool stale = dirty.Contains(u);
-      if (!stale) {
-        for (Vertex x : g.Neighbors(u)) {
-          if (dirty.Contains(x)) {
-            stale = true;
-            break;
-          }
-        }
-      }
-      const bool dominated =
-          stale ? DominatedBy(g, alive, deg, u, scratch.marks[0])
-                : scratch.screened[i] != 0;
-      if (!dominated) continue;
-      ++removed;
-      dirty.Insert(u);
-      for (Vertex x : g.Neighbors(u)) dirty.Insert(x);
-      RemoveDominated(g, alive, deg, in_set, u);
+  for (Vertex u : order) {
+    if (!alive[u] || deg[u] == 0) continue;
+    if (!DominatedBy(g, alive, deg, u, mark)) continue;
+    ++removed;
+    // Remove u: neighbours lose a degree, isolated ones join I.
+    alive[u] = 0;
+    for (Vertex x : g.Neighbors(u)) {
+      if (!alive[x]) continue;
+      if (--deg[x] == 0) in_set[x] = 1;
     }
   }
   return removed;
-}
-
-uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
-                          std::vector<uint32_t>& deg,
-                          std::vector<uint8_t>& in_set) {
-  DominanceScratch scratch;
-  return OnePassDominance(g, alive, deg, in_set, scratch);
 }
 
 namespace {
@@ -648,9 +561,7 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
   // Prepass 1: one-pass dominance, decreasing degree order (shrinks Δ).
   if (options.one_pass_dominance) {
     obs::TraceSpan span(obs::Trace(), "nearlinear.prepass.dominance");
-    DominanceScratch scratch;
-    sol.rules.one_pass_dominance =
-        OnePassDominance(g, alive, deg, sol.in_set, scratch);
+    sol.rules.one_pass_dominance = OnePassDominance(g, alive, deg, sol.in_set);
   }
 
   // Prepass 2: Nemhauser–Trotter persistency on the surviving subgraph.

@@ -15,7 +15,6 @@
 #include "graph/graph.h"
 #include "mis/per_component.h"
 #include "mis/solution.h"
-#include "support/fast_set.h"
 
 namespace rpmis {
 
@@ -40,34 +39,12 @@ MisSolution RunNearLinearPerComponent(const Graph& g,
                                       const PerComponentOptions& opts = {},
                                       const NearLinearOptions& options = {});
 
-/// Reusable scratch for OnePassDominance: the degree-order buffers plus the
-/// per-thread mark sets of the parallel screening pass. A caller that runs
-/// the prepass repeatedly (the kernelizer, per-component sweeps) passes the
-/// same object each time and pays the allocations once.
-struct DominanceScratch {
-  std::vector<Vertex> order;
-  std::vector<uint32_t> bucket;
-  std::vector<uint32_t> initial_deg;  // cached g.Degree(v)
-  std::vector<uint8_t> screened;      // per-order-position screening result
-  std::vector<FastSet> marks;         // marks[t] owned by screening task t
-  FastSet dirty;                      // vertices whose 2-hop state changed
-};
-
 /// The standalone one-pass dominance prepass: processes vertices in
 /// decreasing degree order and deletes every vertex dominated by a
 /// (not-larger-degree) neighbour. `alive` and `deg` are updated in place;
 /// vertices whose degree reaches zero are flagged in `in_set`. Returns the
-/// number of deletions. Exposed for tests and the kernelizer.
-///
-/// Runs the screening phase on NumThreads() threads in blocks, then
-/// finalizes each block serially in order; the result is byte-identical to
-/// the serial pass at every thread count (see DESIGN.md).
-uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
-                          std::vector<uint32_t>& deg,
-                          std::vector<uint8_t>& in_set,
-                          DominanceScratch& scratch);
-
-/// Convenience overload with private scratch (allocates every call).
+/// number of deletions. NearLinear runs it as its first prepass; the
+/// benchmark also times it on its own.
 uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
                           std::vector<uint32_t>& deg,
                           std::vector<uint8_t>& in_set);

@@ -1,7 +1,7 @@
 // Compaction-engine tests: renaming primitives, byte-identical
 // differential runs (compaction on at several thresholds vs off) for all
-// four Table-1 algorithms and the kernelizer, serial-vs-parallel
-// OnePassDominance equivalence, and the O(n + m) total-work regression
+// four Table-1 algorithms and the kernelizer, NearLinear equivalence
+// across thread counts, and the O(n + m) total-work regression
 // guarding against quadratic re-mapping.
 #include "mis/compaction.h"
 
@@ -19,7 +19,6 @@
 #include "mis/bdtwo.h"
 #include "mis/kernelizer.h"
 #include "mis/linear_time.h"
-#include "mis/lp_reduction.h"
 #include "mis/near_linear.h"
 #include "mis/solution.h"
 #include "mis/verify.h"
@@ -314,97 +313,8 @@ TEST(CompactionDifferential, KernelizerWorklistEmptiedByCompaction) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-vs-parallel OnePassDominance (and the parallel LP edge build that
-// NearLinear's prepass uses) must be byte-identical at any thread count.
-
-struct DominanceRun {
-  std::vector<uint8_t> alive;
-  std::vector<uint32_t> deg;
-  std::vector<uint8_t> in_set;
-  uint64_t removed = 0;
-};
-
-DominanceRun RunDominance(const Graph& g) {
-  DominanceRun r;
-  const Vertex n = g.NumVertices();
-  r.alive.assign(n, 1);
-  r.deg.resize(n);
-  r.in_set.assign(n, 0);
-  for (Vertex v = 0; v < n; ++v) r.deg[v] = g.Degree(v);
-  DominanceScratch scratch;
-  r.removed = OnePassDominance(g, r.alive, r.deg, r.in_set, scratch);
-  return r;
-}
-
-TEST(ParallelDominance, ByteIdenticalAcrossThreadCounts) {
-  const Graph graphs[] = {ErdosRenyiGnm(6000, 30000, 3),
-                          ChungLuPowerLaw(8000, 2.5, 8.0, 5),
-                          PowerLawWithCore(5000, 2.5, 6.0, 200, 20.0, 9)};
-  for (const Graph& g : graphs) {
-    DominanceRun serial;
-    {
-      ScopedThreads pin("1");
-      serial = RunDominance(g);
-    }
-    EXPECT_GT(serial.removed, 0u);
-    for (const char* threads : {"2", "8"}) {
-      ScopedThreads pin(threads);
-      const DominanceRun parallel = RunDominance(g);
-      EXPECT_EQ(parallel.removed, serial.removed) << threads;
-      EXPECT_EQ(parallel.alive, serial.alive) << threads;
-      EXPECT_EQ(parallel.deg, serial.deg) << threads;
-      EXPECT_EQ(parallel.in_set, serial.in_set) << threads;
-    }
-  }
-}
-
-TEST(ParallelLpReduction, ByteIdenticalAcrossThreadCounts) {
-  // Parallel level-synchronous BFS inside Hopcroft–Karp must leave every
-  // LP-reduction output — matching size, include/exclude sets — identical
-  // to the serial pass (dist[] is canonical regardless of expansion order).
-  const Graph graphs[] = {ErdosRenyiGnm(6000, 30000, 13),
-                          ChungLuPowerLaw(8000, 2.5, 8.0, 15),
-                          PowerLawWithCore(5000, 2.5, 6.0, 200, 20.0, 19)};
-  for (const Graph& g : graphs) {
-    LpReduction serial;
-    {
-      ScopedThreads pin("1");
-      serial = SolveLpReduction(g);
-    }
-    EXPECT_GT(serial.matching, 0u);
-    for (const char* threads : {"2", "8"}) {
-      ScopedThreads pin(threads);
-      const LpReduction parallel = SolveLpReduction(g);
-      EXPECT_EQ(parallel.matching, serial.matching) << threads;
-      EXPECT_EQ(parallel.include, serial.include) << threads;
-      EXPECT_EQ(parallel.exclude, serial.exclude) << threads;
-      EXPECT_EQ(parallel.num_include, serial.num_include) << threads;
-      EXPECT_EQ(parallel.num_exclude, serial.num_exclude) << threads;
-      EXPECT_EQ(parallel.num_half, serial.num_half) << threads;
-    }
-  }
-}
-
-TEST(ParallelDominance, ScratchReuseAcrossInstances) {
-  // One scratch across differently-sized graphs must not change results.
-  DominanceScratch scratch;
-  const Graph big = ErdosRenyiGnm(4000, 16000, 21);
-  const Graph small = ErdosRenyiGnm(500, 2000, 23);
-  for (const Graph* g : {&big, &small, &big}) {
-    DominanceRun fresh = RunDominance(*g);
-    DominanceRun reused;
-    const Vertex n = g->NumVertices();
-    reused.alive.assign(n, 1);
-    reused.deg.resize(n);
-    reused.in_set.assign(n, 0);
-    for (Vertex v = 0; v < n; ++v) reused.deg[v] = g->Degree(v);
-    reused.removed =
-        OnePassDominance(*g, reused.alive, reused.deg, reused.in_set, scratch);
-    EXPECT_EQ(reused.removed, fresh.removed);
-    EXPECT_EQ(reused.alive, fresh.alive);
-    EXPECT_EQ(reused.in_set, fresh.in_set);
-  }
-}
+// NearLinear's parallel pieces (the compact LP and kernel edge builds,
+// CompactCsr) must leave the solution byte-identical at any thread count.
 
 TEST(ParallelDominance, NearLinearEndToEndAcrossThreadCounts) {
   const Graph g = ChungLuPowerLaw(10000, 2.5, 8.0, 29);

@@ -56,14 +56,12 @@ TEST(DynamicDifferentialTest, EdgeHeavyStream) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-// The parallel-resolve configuration must maintain the same guarantees;
-// an aggressive quality gate makes full re-solves actually fire, which
-// is what scripts/check_dynamic.sh runs under RPMIS_THREADS=8 (and the
-// TSan component script exercises for races).
-TEST(DynamicDifferentialTest, ParallelResolveStream) {
+// An aggressive quality gate and a tiny cone budget make full re-solves
+// and component fallbacks actually fire; the maintained set must keep the
+// same guarantees through them.
+TEST(DynamicDifferentialTest, AggressiveResolveStream) {
   const Graph g = ChungLuPowerLaw(2000, 3.5, 5.0, /*seed=*/9);
   DifferentialOptions options = AcceptanceOptions();
-  options.policy.parallel_resolve = true;
   options.policy.min_slack = 2;
   options.policy.max_gap = 0.0;
   options.policy.min_cone = 32;

@@ -4,6 +4,7 @@
 
 #include "exact/brute_force.h"
 #include "graph/generators.h"
+#include "mis/upper_bounds.h"
 #include "mis/verify.h"
 
 namespace rpmis {
@@ -99,6 +100,22 @@ TEST(LpReductionTest, BoundDominatesAlpha) {
     LpReduction lp = SolveLpReduction(g);
     EXPECT_GE(lp.Bound(g.NumVertices()), BruteForceAlpha(g));
   }
+}
+
+// Regression: on the path k-0-1-...-(k-1) the greedy warm start leaves
+// one augmenting path of about k/2 alternating steps. A DFS that recursed
+// once per step overflowed the stack here.
+TEST(LpReductionTest, LongPathDoesNotOverflowTheStack) {
+  const Vertex k = 1000001;
+  std::vector<Edge> edges{{k, 0}};
+  for (Vertex i = 0; i + 1 < k; ++i) edges.emplace_back(i, i + 1);
+  const Graph g = Graph::FromEdges(k + 1, edges);
+  const LpReduction lp = SolveLpReduction(g);
+  // An even path has a perfect matching, so its double cover does too and
+  // every vertex stays at 1/2.
+  EXPECT_EQ(lp.matching, uint64_t{k} + 1);
+  EXPECT_EQ(lp.num_half, uint64_t{k} + 1);
+  EXPECT_EQ(LpUpperBound(g), (uint64_t{k} + 1) / 2);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 //   * a zero peel count certifies optimality (kernelization solved it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 
@@ -42,6 +43,20 @@ const AlgoCase kAlgos[] = {
        opts.one_pass_dominance = false;
        opts.lp_reduction = false;
        return RunNearLinear(g, nullptr, opts);
+     }},
+    // Requesting the peeled bitmap must not change the solve, and it flags
+    // exactly the peeled vertices.
+    {"LinearTimePeeledBitmap",
+     [](const Graph& g) {
+       std::vector<uint8_t> peeled;
+       LinearTimeOptions opts;
+       opts.peeled = &peeled;
+       MisSolution sol = RunLinearTime(g, nullptr, opts);
+       EXPECT_EQ(sol.in_set, RunLinearTime(g).in_set);
+       EXPECT_EQ(peeled.size(), g.NumVertices());
+       const auto flagged = std::count(peeled.begin(), peeled.end(), 1);
+       EXPECT_EQ(static_cast<uint64_t>(flagged), sol.peeled);
+       return sol;
      }},
 };
 

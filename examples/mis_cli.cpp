@@ -13,6 +13,8 @@
 // The solution file lists one selected vertex id per line (original file
 // ids are not preserved for edge lists with sparse ids; the tool reports
 // the dense remapping convention).
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -50,6 +52,23 @@ std::string OptionValue(int argc, char** argv, const std::string& key,
   return fallback;
 }
 
+// Parses the numeric value of `flag` (or `fallback` when absent). The whole
+// value must be a number; otherwise prints a diagnostic naming the flag and
+// the value, and returns false.
+bool NumberOption(int argc, char** argv, const std::string& flag,
+                  const std::string& fallback, double* out) {
+  const std::string value = OptionValue(argc, argv, flag, fallback);
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || errno == ERANGE) {
+    std::cerr << "mis_cli: invalid value for " << flag << ": '" << value
+              << "' (expected a number)\n";
+    return false;
+  }
+  return true;
+}
+
 bool HasOption(int argc, char** argv, const char* flag) {
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], flag) == 0) return true;
@@ -69,9 +88,10 @@ int Usage() {
          "               [--stats]           (print per-run reduction/compaction\n"
          "                counters; bdone/bdtwo/lineartime/nearlinear only)\n"
          "               [--no-compaction] [--compaction-threshold=F]\n"
-         "                (mid-run alive-subgraph rebuilds; F in (0,1], rebuild\n"
-         "                when active < F * last build, default 0.5; the\n"
-         "                solution is identical either way)\n"
+         "                (bdone/lineartime/nearlinear only: mid-run alive-\n"
+         "                subgraph rebuilds; F in (0,1], rebuild when active\n"
+         "                < F * last build, default 0.5; the solution is\n"
+         "                identical either way)\n"
          "               [--verify]          (re-check the output set is\n"
          "                independent and maximal, with a reason on failure)\n"
          "               [--updates=FILE]    (dynamic mode: solve with\n"
@@ -180,7 +200,8 @@ int main(int argc, char** argv) {
   const std::string path = argv[1];
   const std::string format = OptionValue(argc, argv, "--format", "auto");
   const std::string algo = OptionValue(argc, argv, "--algo", "nearlinear");
-  const double budget = std::stod(OptionValue(argc, argv, "--time", "5"));
+  double budget = 0.0;
+  if (!NumberOption(argc, argv, "--time", "5", &budget)) return 2;
   const std::string out_path = OptionValue(argc, argv, "--out", "");
   const bool want_cover = HasOption(argc, argv, "--cover");
   const bool per_component = HasOption(argc, argv, "--per-component");
@@ -188,8 +209,10 @@ int main(int argc, char** argv) {
   const PerComponentOptions cc_opts{.parallel = true};
   CompactionOptions compaction;
   compaction.enabled = !HasOption(argc, argv, "--no-compaction");
-  compaction.threshold =
-      std::stod(OptionValue(argc, argv, "--compaction-threshold", "0.5"));
+  if (!NumberOption(argc, argv, "--compaction-threshold", "0.5",
+                    &compaction.threshold)) {
+    return 2;
+  }
   if (!(compaction.threshold > 0.0 && compaction.threshold <= 1.0)) {
     std::cerr << "--compaction-threshold must be in (0, 1]\n";
     return 2;
@@ -256,9 +279,7 @@ int main(int argc, char** argv) {
     take(per_component ? RunBDOnePerComponent(g, cc_opts, opt)
                        : RunBDOne(g, nullptr, opt));
   } else if (algo == "bdtwo") {
-    BDTwoOptions opt{.compaction = compaction};
-    take(per_component ? RunBDTwoPerComponent(g, cc_opts, opt)
-                       : RunBDTwo(g, opt));
+    take(per_component ? RunBDTwoPerComponent(g, cc_opts) : RunBDTwo(g));
   } else if (algo == "lineartime") {
     LinearTimeOptions opt{.compaction = compaction};
     take(per_component ? RunLinearTimePerComponent(g, cc_opts, opt)

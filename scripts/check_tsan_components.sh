@@ -2,8 +2,9 @@
 # ThreadSanitizer gate for the component-parallel solve path: builds a
 # dedicated tree with RPMIS_SANITIZE=thread and runs the suites that
 # exercise cross-thread code (the parallel component scheduler, the
-# parallel CSR builds — Graph::FromEdges, CompactCsr and NearLinear's
-# compact edge lists — and the benchkit measurement plumbing) with RPMIS_THREADS=8 so the scheduler
+# parallel CSR builds — Graph::FromEdges, the working graph's compaction
+# rebuild (Compaction*) and NearLinear's compact edge lists — and the
+# benchkit measurement plumbing) with RPMIS_THREADS=8 so the scheduler
 # genuinely runs multi-threaded under the race detector. Companion to
 # scripts/check_sanitize.sh (ASan/UBSan over the full suite).
 set -eu

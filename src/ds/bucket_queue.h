@@ -54,13 +54,6 @@ class BucketQueue {
   Vertex PopMin();
   Vertex PopMax();
 
-  /// Rebuilds the queue over the renamed universe [0, new_n) with key
-  /// range [0, new_max_key]. Every contained vertex must survive the
-  /// renaming with its key <= new_max_key. Bucket-internal order is
-  /// preserved exactly, so the pop sequence is unchanged.
-  void Compact(Vertex new_n, std::span<const Vertex> to_new,
-               uint32_t new_max_key);
-
   /// Current minimum / maximum key (queue must be non-empty).
   uint32_t MinKey();
   uint32_t MaxKey();
@@ -127,7 +120,7 @@ class LazyMaxBucketQueue {
   /// keep their bucket (stale entries stay stale) and their position, so
   /// the pop sequence is unchanged. Keys only decrease, so the bucket
   /// array also shrinks to the settled upper bound.
-  void Compact(Vertex new_n, std::span<const Vertex> to_new);
+  void Renumber(Vertex new_n, std::span<const Vertex> to_new);
 
  private:
   static constexpr uint32_t kNoBucket = static_cast<uint32_t>(-1);

@@ -46,7 +46,7 @@ class MetricsRegistry;
 namespace rpmis {
 
 /// Repair/fallback thresholds. The cone budget is geometric in the alive
-/// vertex count (like CompactionPolicy): local repair handles cones up to
+/// vertex count (like the compaction threshold): local repair handles cones up to
 /// max(min_cone, cone_fraction * n_alive), larger cones re-solve the
 /// touched component. The quality gate forces a full re-solve when
 /// (U - size) exceeds the gap at the last full solve by more than

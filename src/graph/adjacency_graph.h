@@ -80,13 +80,6 @@ class AdjacencyGraph {
   /// Snapshot of the remaining graph as an edge list over original ids.
   std::vector<Edge> CollectAliveEdges() const;
 
-  /// Rebuilds the structure over the renamed universe [0, new_n): vertices
-  /// mapping to kInvalidVertex are dropped (they must be dead or isolated,
-  /// so no surviving half-edge references them), the half-edge pool shrinks
-  /// to the alive edges, and every kept vertex's neighbour ORDER is
-  /// preserved — iteration behaves exactly as before the rebuild.
-  void Compact(Vertex new_n, std::span<const Vertex> to_new);
-
  private:
   static constexpr uint32_t kNilHalf = static_cast<uint32_t>(-1);
 

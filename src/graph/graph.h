@@ -100,7 +100,7 @@ class Graph {
 
   /// The raw CSR arrays (n + 1 offsets, 2m flat neighbour entries). For
   /// solvers that maintain a compacted working copy of the adjacency
-  /// (mis/compaction.h) and start with a zero-copy view of the input.
+  /// (mis/working_graph.h) and start with a zero-copy view of the input.
   std::span<const uint64_t> RawOffsets() const { return offsets_; }
   std::span<const Vertex> RawNeighbors() const { return neighbors_; }
 

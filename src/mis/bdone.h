@@ -14,7 +14,7 @@
 namespace rpmis {
 
 struct BDOneOptions {
-  /// Mid-run alive-subgraph rebuilds (mis/compaction.h). Output is
+  /// Mid-run alive-subgraph rebuilds (mis/working_graph.h). Output is
   /// byte-identical with compaction disabled or at any threshold.
   CompactionOptions compaction;
 };

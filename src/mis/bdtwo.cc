@@ -1,11 +1,9 @@
 #include "mis/bdtwo.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "ds/bucket_queue.h"
 #include "graph/adjacency_graph.h"
-#include "mis/compaction.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -16,8 +14,7 @@ namespace {
 
 // A degree-two folding record: u was deleted, `merged` was contracted into
 // `rep`. On unwind (reverse order): rep in I  =>  merged joins I too;
-// otherwise u joins I (Lemma 2.2). All three are INPUT ids, so the records
-// survive mid-run renamings untouched.
+// otherwise u joins I (Lemma 2.2).
 struct FoldRecord {
   Vertex u;
   Vertex merged;
@@ -26,7 +23,7 @@ struct FoldRecord {
 
 }  // namespace
 
-MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
+MisSolution RunBDTwo(const Graph& g) {
   obs::TraceSpan algo_span(obs::Trace(), "bdtwo");
   const Vertex n = g.NumVertices();
   MisSolution sol;
@@ -34,12 +31,7 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
   uint64_t in_count = 0;  // running |I| for progress samples
 
   AdjacencyGraph dyn(g);
-  // Current id -> input id (identity until the first compaction). Decisions
-  // (in_set, peeled, folds) are always recorded in input ids.
-  std::vector<Vertex> to_orig(n);
-  std::iota(to_orig.begin(), to_orig.end(), Vertex{0});
-
-  std::vector<uint8_t> peeled(n, 0);  // input-id space
+  std::vector<uint8_t> peeled(n, 0);
   std::vector<Vertex> v1, v2;         // worklists with lazy staleness checks
   std::vector<FoldRecord> folds;
   std::vector<Vertex> touched;
@@ -63,8 +55,6 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
       v2.push_back(v);
     }
   }
-  CompactionPolicy policy(options.compaction, n);
-
   // Re-synchronizes queue keys and worklists for vertices whose degree
   // changed, and finalizes vertices that dropped to degree zero.
   auto sync_touched = [&]() {
@@ -73,7 +63,7 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
       const uint32_t d = dyn.Degree(x);
       if (d == 0) {
         queue.Remove(x);
-        sol.in_set[to_orig[x]] = 1;
+        sol.in_set[x] = 1;
         ++in_count;
         continue;
       }
@@ -93,37 +83,9 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
     sync_touched();
   };
 
-  // Rebuilds the dynamic graph, queue and worklists over the alive,
-  // still-undecided subgraph. At the loop top the queue holds exactly the
-  // vertices with alive && deg > 0 (deg-0 "husks" were removed by
-  // sync_touched and degrees never resurrect), so queue.Size() is the
-  // active count and every queue entry survives the renaming. List and
-  // bucket order are preserved, so the run is byte-identical.
-  auto compact = [&]() {
-    obs::TraceSpan span(obs::Trace(), "bdtwo.compact");
-    const Vertex cur_n = dyn.NumVertices();
-    std::vector<uint8_t> keep(cur_n);
-    for (Vertex x = 0; x < cur_n; ++x) {
-      keep[x] = dyn.IsAlive(x) && dyn.Degree(x) > 0;
-    }
-    VertexRenaming ren = BuildRenaming(keep);
-    const Vertex new_n = static_cast<Vertex>(ren.kept.size());
-    RPMIS_DASSERT(new_n == queue.Size());
-    ++sol.compaction.compactions;
-    sol.compaction.vertices_scanned += cur_n;
-    sol.compaction.slots_scanned += 2 * dyn.NumAliveEdges();
-    sol.compaction.vertices_kept += new_n;
-    sol.compaction.slots_kept += 2 * dyn.NumAliveEdges();
-    dyn.Compact(new_n, ren.to_new);
-    queue.Compact(new_n, ren.to_new, new_n == 0 ? 0 : new_n - 1);
-    RemapWorklist(ren, &v1);
-    RemapWorklist(ren, &v2);
-    ComposeToOrig(ren, &to_orig);
-    policy.NoteRebuild(new_n);
-  };
-
   // Progress snapshot: O(1) here — the dynamic graph tracks its alive
-  // edge count and the queue its size.
+  // edge count and the queue its size. The queue holds exactly the
+  // vertices with alive && deg > 0 (sync_touched removes degree-0 husks).
   auto sample_progress = [&](obs::ProgressSampler* ps) {
     obs::ProgressSample s;
     s.live_vertices = queue.Size();
@@ -143,7 +105,6 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
     if (auto* ps = obs::Progress(); ps != nullptr && ps->Due()) {
       sample_progress(ps);
     }
-    if (policy.ShouldCompact(queue.Size())) compact();
     if (!v1.empty()) {
       const Vertex u = v1.back();
       v1.pop_back();
@@ -178,7 +139,7 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
         if (queue.Contains(v)) queue.Remove(v);
         dyn.ContractInto(v, w, &touched);
         sync_touched();
-        folds.push_back({to_orig[u], to_orig[v], to_orig[w]});
+        folds.push_back({u, v, w});
         ++sol.rules.degree_two_folding;
       }
       continue;
@@ -196,7 +157,7 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
       }
       sol.kernel_edges = dyn.NumAliveEdges();
     }
-    peeled[to_orig[u]] = 1;
+    peeled[u] = 1;
     ++sol.rules.peels;
     dyn.RemoveVertex(u, &touched);
     sync_touched();
@@ -215,20 +176,12 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
   }
 
   ExtendToMaximal(g, sol.in_set);
-  sol.RecountSize();
-  sol.peeled = sol.rules.peels;
-  for (Vertex x = 0; x < n; ++x) {
-    if (peeled[x] && !sol.in_set[x]) ++sol.residual_peeled;
-  }
-  sol.provably_maximum = (sol.residual_peeled == 0);
+  sol.Finalize(peeled);
   return sol;
 }
 
-MisSolution RunBDTwoPerComponent(const Graph& g, const PerComponentOptions& opts,
-                                 const BDTwoOptions& options) {
-  const auto algo = [options](const Graph& sub) {
-    return RunBDTwo(sub, options);
-  };
+MisSolution RunBDTwoPerComponent(const Graph& g, const PerComponentOptions& opts) {
+  const auto algo = [](const Graph& sub) { return RunBDTwo(sub); };
   return opts.parallel ? RunPerComponentParallel(g, algo)
                        : RunPerComponent(g, algo);
 }

@@ -15,22 +15,15 @@
 
 namespace rpmis {
 
-struct BDTwoOptions {
-  /// Mid-run alive-subgraph rebuilds (mis/compaction.h). Output is
-  /// byte-identical with compaction disabled or at any threshold.
-  CompactionOptions compaction;
-};
-
 /// Computes a maximal independent set of g with BDTwo.
-MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options = {});
+MisSolution RunBDTwo(const Graph& g);
 
 /// Component-wise BDTwo: runs RunBDTwo on every connected component
 /// independently (concurrently when opts.parallel) and merges. Output is
 /// independent of the thread count. Particularly attractive for BDTwo,
 /// whose 6m-space dynamic representation is then sized per component.
 MisSolution RunBDTwoPerComponent(const Graph& g,
-                                 const PerComponentOptions& opts = {},
-                                 const BDTwoOptions& options = {});
+                                 const PerComponentOptions& opts = {});
 
 }  // namespace rpmis
 

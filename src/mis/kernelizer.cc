@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 
+#include "mis/compaction.h"
 #include "mis/lp_reduction.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "support/fast_set.h"
-#include "support/parallel.h"
 
 namespace rpmis {
 
 Kernelizer::Kernelizer(const Graph& g, const KernelizerOptions& options)
-    : input_(&g), options_(options), alive_(g.NumVertices(), 1),
-      to_orig_(g.NumVertices()), alive_count_(g.NumVertices()),
-      in_worklist_(g.NumVertices(), 0),
-      policy_(options.compaction, g.NumVertices()) {
-  std::iota(to_orig_.begin(), to_orig_.end(), Vertex{0});
+    : options_(options), alive_(g.NumVertices(), 1),
+      in_worklist_(g.NumVertices(), 0) {
   adj_.resize(g.NumVertices());
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
     auto nb = g.Neighbors(v);
@@ -57,9 +53,8 @@ void Kernelizer::ExcludeVertex(Vertex v) {
   TouchNeighborhood(v);
   DetachFromNeighbors(v);
   alive_[v] = 0;
-  --alive_count_;
   adj_[v].clear();
-  ops_.push_back({OpKind::kExclude, to_orig_[v], 0, 0});
+  ops_.push_back({OpKind::kExclude, v, 0, 0});
 }
 
 void Kernelizer::IncludeVertex(Vertex v) {
@@ -67,22 +62,20 @@ void Kernelizer::IncludeVertex(Vertex v) {
   // Exclude the whole neighbourhood first, then take v.
   while (!adj_[v].empty()) ExcludeVertex(adj_[v].back());
   alive_[v] = 0;
-  --alive_count_;
-  ops_.push_back({OpKind::kInclude, to_orig_[v], 0, 0});
+  ops_.push_back({OpKind::kInclude, v, 0, 0});
   ++alpha_offset_;
 }
 
 void Kernelizer::FoldDegreeTwo(Vertex u, Vertex v, Vertex w) {
   // alpha(G) = alpha(G / {u,v,w}) + 1; w becomes the supervertex.
   RPMIS_DASSERT(Degree(u) == 2 && !HasEdge(v, w));
-  ops_.push_back({OpKind::kFold, to_orig_[u], to_orig_[v], to_orig_[w]});
+  ops_.push_back({OpKind::kFold, u, v, w});
   ++alpha_offset_;
   ++rules_.degree_two_folding;
 
   // Remove u.
   DetachFromNeighbors(u);
   alive_[u] = 0;
-  --alive_count_;
   adj_[u].clear();
 
   // Merge v's adjacency into w's; re-point x's entries from v to w.
@@ -101,7 +94,6 @@ void Kernelizer::FoldDegreeTwo(Vertex u, Vertex v, Vertex w) {
     Touch(x);
   }
   alive_[v] = 0;
-  --alive_count_;
   adj_[v].clear();
   adj_[w] = std::move(merged);
   Touch(w);
@@ -126,7 +118,6 @@ void Kernelizer::ContractInto(Vertex a, Vertex b) {
     Touch(x);
   }
   alive_[b] = 0;
-  --alive_count_;
   adj_[b].clear();
   adj_[a] = std::move(merged);
   Touch(a);
@@ -140,18 +131,16 @@ void Kernelizer::FoldTwins(Vertex u, Vertex v) {
   const Vertex n1 = adj_[u][0];
   const Vertex n2 = adj_[u][1];
   const Vertex n3 = adj_[u][2];
-  ops_.push_back({OpKind::kTwinFoldMembers, to_orig_[n2], to_orig_[n3], to_orig_[n1]});
-  ops_.push_back({OpKind::kTwinFoldPair, to_orig_[u], to_orig_[v], to_orig_[n1]});
+  ops_.push_back({OpKind::kTwinFoldMembers, n2, n3, n1});
+  ops_.push_back({OpKind::kTwinFoldPair, u, v, n1});
   alpha_offset_ += 2;
   rules_.twin += 2;
 
   DetachFromNeighbors(u);
   alive_[u] = 0;
-  --alive_count_;
   adj_[u].clear();
   DetachFromNeighbors(v);
   alive_[v] = 0;
-  --alive_count_;
   adj_[v].clear();
   // n1..n3 are pairwise non-adjacent (no inner edge) and stay so during
   // the contractions, which only import NEIGHBOURS of the merged vertex.
@@ -343,10 +332,6 @@ bool Kernelizer::RunLpPass() {
 
 void Kernelizer::ProcessWorklist() {
   while (!worklist_.empty()) {
-    // CompactState drops worklist entries of dead vertices, so the list
-    // checked non-empty above may be empty afterwards.
-    if (policy_.ShouldCompact(alive_count_)) CompactState();
-    if (worklist_.empty()) break;
     const Vertex v = worklist_.back();
     worklist_.pop_back();
     in_worklist_[v] = 0;
@@ -355,47 +340,6 @@ void Kernelizer::ProcessWorklist() {
     if (options_.dominance && TryDominance(v)) continue;
     if (options_.unconfined && TryUnconfined(v)) continue;
   }
-}
-
-void Kernelizer::CompactState() {
-  obs::TraceSpan span(obs::Trace(), "kernelizer.compact");
-  const Vertex cur_n = static_cast<Vertex>(alive_.size());
-  VertexRenaming ren = BuildRenaming(alive_);
-  const Vertex new_n = static_cast<Vertex>(ren.kept.size());
-  RPMIS_DASSERT(new_n == alive_count_);
-  ++compaction_.compactions;
-  compaction_.vertices_scanned += cur_n;
-  compaction_.vertices_kept += new_n;
-
-  // Alive adjacency lists reference only alive vertices (edges are removed
-  // eagerly), so every slot survives; renaming a sorted list keeps it
-  // sorted because the renaming is monotone. Lists are moved, not copied.
-  std::vector<std::vector<Vertex>> new_adj(new_n);
-  ParallelChunks(0, new_n, 1024, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      std::vector<Vertex>& list = new_adj[i];
-      list = std::move(adj_[ren.kept[i]]);
-      for (Vertex& w : list) {
-        w = ren.to_new[w];
-        RPMIS_DASSERT(w != kInvalidVertex);
-      }
-    }
-  });
-  uint64_t slots = 0;
-  for (const auto& list : new_adj) slots += list.size();
-  compaction_.slots_scanned += slots;
-  compaction_.slots_kept += slots;
-  adj_ = std::move(new_adj);
-  alive_.assign(new_n, 1);
-
-  // Pending worklist entries of dead vertices would be skipped by the
-  // Alive() check anyway; drop them and rebuild the membership bitmap.
-  RemapWorklist(ren, &worklist_);
-  in_worklist_.assign(new_n, 0);
-  for (Vertex v : worklist_) in_worklist_[v] = 1;
-
-  ComposeToOrig(ren, &to_orig_);
-  policy_.NoteRebuild(new_n);
 }
 
 void Kernelizer::Run() {
@@ -420,27 +364,18 @@ void Kernelizer::Run() {
     ProcessWorklist();
     if (!changed) break;
   }
-  // Materialize the kernel. Current ids map to input ids through to_orig_;
-  // the composed renamings are monotone, so kernel ids assigned in current
-  // order coincide with input order and the kernel is independent of how
-  // many compactions fired.
-  const Vertex cur_n = static_cast<Vertex>(alive_.size());
-  orig_to_kernel_.assign(input_->NumVertices(), kInvalidVertex);
+  // Materialize the kernel: the alive vertices in increasing id order.
+  orig_to_kernel_.assign(alive_.size(), kInvalidVertex);
   kernel_to_orig_.clear();
-  std::vector<Vertex> cur_to_kernel(cur_n, kInvalidVertex);
-  for (Vertex v = 0; v < cur_n; ++v) {
-    if (Alive(v)) {
-      const Vertex k = static_cast<Vertex>(kernel_to_orig_.size());
-      cur_to_kernel[v] = k;
-      orig_to_kernel_[to_orig_[v]] = k;
-      kernel_to_orig_.push_back(to_orig_[v]);
-    }
+  for (Vertex v = 0; v < alive_.size(); ++v) {
+    if (!Alive(v)) continue;
+    orig_to_kernel_[v] = static_cast<Vertex>(kernel_to_orig_.size());
+    kernel_to_orig_.push_back(v);
   }
   std::vector<Edge> edges;
-  for (Vertex v = 0; v < cur_n; ++v) {
-    if (!Alive(v)) continue;
+  for (const Vertex v : kernel_to_orig_) {
     for (Vertex w : adj_[v]) {
-      if (v < w) edges.emplace_back(cur_to_kernel[v], cur_to_kernel[w]);
+      if (v < w) edges.emplace_back(orig_to_kernel_[v], orig_to_kernel_[w]);
     }
   }
   kernel_ = Graph::FromEdges(static_cast<Vertex>(kernel_to_orig_.size()), edges);
@@ -449,7 +384,7 @@ void Kernelizer::Run() {
 std::vector<uint8_t> Kernelizer::Lift(const std::vector<uint8_t>& kernel_in_set) const {
   RPMIS_ASSERT(ran_);
   RPMIS_ASSERT(kernel_in_set.size() == kernel_.NumVertices());
-  std::vector<uint8_t> out(input_->NumVertices(), 0);
+  std::vector<uint8_t> out(alive_.size(), 0);
   for (Vertex k = 0; k < kernel_.NumVertices(); ++k) {
     if (kernel_in_set[k]) out[kernel_to_orig_[k]] = 1;
   }

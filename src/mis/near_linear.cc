@@ -1,13 +1,9 @@
 #include "mis/near_linear.h"
 
-#include <algorithm>
-#include <numeric>
-
-#include "ds/bucket_queue.h"
 #include "graph/algorithms.h"
 #include "mis/compaction.h"
-#include "mis/kernel_capture.h"
 #include "mis/lp_reduction.h"
+#include "mis/working_graph.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
@@ -76,15 +72,15 @@ uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
 
 namespace {
 
-// Directed-edge slot index into the flat adjacency array.
+// Directed-edge slot ids of the kernel CSR: 32 bits keep the per-slot
+// triangle counts and reverse-slot links at 4 bytes each.
 using Slot = uint32_t;
-constexpr Slot kNoSlot = static_cast<Slot>(-1);
 
 // The NearLinear main loop, operating on a compact kernel graph (the
 // instance that remains after the exact prepasses). Membership, peel and
-// deferred-path decisions are recorded directly in INPUT ids (via
-// `to_orig_`), which lets the loop rebuild its own vertex universe mid-run
-// (Compact) without post-hoc translation.
+// deferred-path decisions are recorded directly in INPUT ids (through the
+// working graph's `to_orig`), so the loop can rebuild its own vertex
+// universe mid-run without post-hoc translation.
 class NearLinearCore {
  public:
   NearLinearCore(const Graph& kg, std::vector<Vertex> kernel_to_orig,
@@ -92,99 +88,52 @@ class NearLinearCore {
                  const CompactionOptions& copts)
       : sol_(sol),
         peeled_orig_(peeled_orig),
-        n_(kg.NumVertices()),
-        to_orig_(std::move(kernel_to_orig)),
-        offsets_(kg.RawOffsets()),
-        alive_(n_, 1),
-        deg_(n_),
-        mark_(n_),
-        mark2_(n_),
-        policy_(copts, n_) {
-    const std::span<const Vertex> nbs = kg.RawNeighbors();
-    adj_.assign(nbs.begin(), nbs.end());
-    for (Vertex v = 0; v < n_; ++v) {
-      deg_[v] = kg.Degree(v);
-      if (deg_[v] > 0) ++active_;
-      if (deg_[v] == 2) v2_.push_back(v);
-    }
+        wg_(kg, std::move(kernel_to_orig), WorkingGraph::Adjacency::kPrivateCopy,
+            copts, "nearlinear.compact", &sol->compaction),
+        mark_(kg.NumVertices()),
+        mark2_(kg.NumVertices()) {
+    RPMIS_ASSERT(2 * kg.NumEdges() <= static_cast<uint64_t>(kInvalidVertex));
     delta_ = EdgeTriangleCounts(kg);
     rev_ = ReverseEdgeIndex(kg);
-    // Initial dominated set: u dominates v  =>  v is dominated.
-    for (Vertex u = 0; u < n_; ++u) {
-      if (deg_[u] == 0) {
-        sol_->in_set[to_orig_[u]] = 1;  // isolated kernel vertex (defensive;
-        ++in_count_;                    // prepasses normally strip these)
+    // Initial worklists. Dominated set: u dominates v  =>  v is dominated.
+    for (Vertex u = 0; u < kg.NumVertices(); ++u) {
+      if (wg_.deg[u] == 2) v2_.push_back(u);
+      if (wg_.deg[u] == 0) {
+        sol_->in_set[wg_.to_orig[u]] = 1;  // isolated kernel vertex (defensive;
+        ++in_count_;                       // prepasses normally strip these)
         continue;
       }
-      for (Slot e = Begin(u); e < End(u); ++e) {
-        if (delta_[e] == deg_[u] - 1) dominated_.push_back(adj_[e]);
+      for (Slot e = wg_.Begin(u); e < wg_.End(u); ++e) {
+        if (delta_[e] == wg_.deg[u] - 1) dominated_.push_back(wg_.At(e));
       }
     }
   }
 
   // Runs to completion.
-  void Run(bool want_capture, KernelSnapshot* capture);
+  void Run(KernelSnapshot* capture);
 
   /// Replays the deferred stack (partners are input-space ids).
-  void ReplayDeferred() { ReplayDeferredStack(deferred_, sol_->in_set); }
+  void ReplayDeferred() { ReplayDeferredStack(wg_.deferred, sol_->in_set); }
 
  private:
-  Slot Begin(Vertex v) const { return static_cast<Slot>(offsets_[v]); }
-  Slot End(Vertex v) const { return static_cast<Slot>(offsets_[v + 1]); }
-
-  // Rewires a's slot holding old_nb to new_nb; returns the slot.
-  Slot Rewire(Vertex a, Vertex old_nb, Vertex new_nb) {
-    for (Slot e = Begin(a); e < End(a); ++e) {
-      if (adj_[e] == old_nb) {
-        adj_[e] = new_nb;
-        return e;
-      }
-    }
-    RPMIS_ASSERT_MSG(false, "rewire target not found");
-    return kNoSlot;
-  }
-
-  Vertex FirstAliveNeighbor(Vertex v) const {
-    for (Slot e = Begin(v); e < End(v); ++e) {
-      if (alive_[adj_[e]]) return adj_[e];
-    }
-    return kInvalidVertex;
-  }
-
-  Vertex OtherAliveNeighbor(Vertex v, Vertex exclude) const {
-    for (Slot e = Begin(v); e < End(v); ++e) {
-      const Vertex w = adj_[e];
-      if (alive_[w] && w != exclude) return w;
-    }
-    return kInvalidVertex;
-  }
-
-  bool HasAliveEdge(Vertex a, Vertex b) const {
-    if (deg_[a] > deg_[b]) std::swap(a, b);
-    for (Slot e = Begin(a); e < End(a); ++e) {
-      if (adj_[e] == b) return alive_[b] != 0;
-    }
-    return false;
-  }
-
   // Screens every alive pair (v, x) incident to v for fresh dominance.
   void RescreenVertex(Vertex v) {
-    if (!alive_[v]) return;
-    for (Slot e = Begin(v); e < End(v); ++e) {
-      const Vertex x = adj_[e];
-      if (!alive_[x]) continue;
-      if (deg_[v] >= 1 && delta_[e] == deg_[v] - 1) dominated_.push_back(x);
-      if (deg_[x] >= 1 && delta_[e] == deg_[x] - 1) dominated_.push_back(v);
+    if (!wg_.alive[v]) return;
+    for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
+      const Vertex x = wg_.At(e);
+      if (!wg_.alive[x]) continue;
+      if (wg_.deg[v] >= 1 && delta_[e] == wg_.deg[v] - 1) dominated_.push_back(x);
+      if (wg_.deg[x] >= 1 && delta_[e] == wg_.deg[x] - 1) dominated_.push_back(v);
     }
   }
 
   void OnDegreeDecrease(Vertex w) {
-    if (deg_[w] == 2) {
+    if (wg_.deg[w] == 2) {
       v2_.push_back(w);
-    } else if (deg_[w] == 0) {
-      sol_->in_set[to_orig_[w]] = 1;
+    } else if (wg_.deg[w] == 0) {
+      sol_->in_set[wg_.to_orig[w]] = 1;
       ++in_count_;
-      --active_;
+      --wg_.active;
     }
     // Degree-one vertices need no explicit worklist: such a vertex
     // dominates its remaining neighbour, which the rescreen pass enqueues.
@@ -192,25 +141,24 @@ class NearLinearCore {
 
   // Deletes x, maintaining degrees, triangle counts and the dominated set.
   void DeleteVertex(Vertex x) {
-    RPMIS_DASSERT(alive_[x]);
-    alive_[x] = 0;
-    if (deg_[x] > 0) --active_;
+    RPMIS_DASSERT(wg_.alive[x]);
+    wg_.alive[x] = 0;
+    if (wg_.deg[x] > 0) --wg_.active;
     // Pass A: collect alive neighbours, update degrees.
     scratch_nbrs_.clear();
-    for (Slot e = Begin(x); e < End(x); ++e) {
-      const Vertex v = adj_[e];
-      if (!alive_[v]) continue;
+    for (const Vertex v : wg_.Neighbors(x)) {
+      if (!wg_.alive[v]) continue;
       scratch_nbrs_.push_back(v);
-      --deg_[v];
+      --wg_.deg[v];
       OnDegreeDecrease(v);
     }
     // Pass B: every triangle (x, v, w) loses x; decrement δ on (v, w).
     mark_.Clear();
     for (Vertex v : scratch_nbrs_) mark_.Insert(v);
     for (Vertex v : scratch_nbrs_) {
-      for (Slot e = Begin(v); e < End(v); ++e) {
-        const Vertex w = adj_[e];
-        if (alive_[w] && mark_.Contains(w)) {
+      for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
+        const Vertex w = wg_.At(e);
+        if (wg_.alive[w] && mark_.Contains(w)) {
           RPMIS_DASSERT(delta_[e] > 0);
           --delta_[e];  // the mirror decrements when the loop reaches w
         }
@@ -221,61 +169,38 @@ class NearLinearCore {
     for (Vertex v : scratch_nbrs_) RescreenVertex(v);
   }
 
+  // Rewires a's slot holding old_nb to new_nb; returns the slot.
+  Slot Rewire(Vertex a, Vertex old_nb, Vertex new_nb) {
+    return static_cast<Slot>(wg_.Rewire(a, old_nb, new_nb));
+  }
+
   void DegreeTwoPathReduction(Vertex u);
   void ApplyDominance();
-  void Compact(LazyMaxBucketQueue& peel_queue);
-
-  // Progress-sample snapshot: O(live) edge recount, amortized by the
-  // sampler stride. `in_count_` tracks vertices this core decided into I;
-  // `in_base_` is what the prepasses had decided before the core started.
-  void SampleProgress(obs::ProgressSampler* ps) {
-    uint64_t deg_sum = 0;
-    for (Vertex v = 0; v < n_; ++v) {
-      if (alive_[v]) deg_sum += deg_[v];
-    }
-    obs::ProgressSample s;
-    s.live_vertices = active_;
-    s.live_edges = deg_sum / 2;
-    s.solution_size = in_base_ + in_count_;
-    // Crude in-flight bound: everything still live, deferred, or peeled
-    // so far may yet join I (DESIGN.md §8).
-    s.upper_bound =
-        s.solution_size + active_ + deferred_.size() + sol_->rules.peels;
-    s.label = "nearlinear.core";
-    ps->Record(std::move(s));
-  }
+  void MaybeCompact();
 
   MisSolution* sol_;
   std::vector<uint8_t>* peeled_orig_;
-  Vertex n_;
-  std::vector<Vertex> to_orig_;        // current id -> input id
-  std::span<const uint64_t> offsets_;  // kernel CSR, then own_offsets_
-  std::vector<uint64_t> own_offsets_;
-  std::vector<Vertex> adj_;
-  std::vector<uint32_t> delta_;
-  std::vector<uint32_t> rev_;
-  std::vector<uint8_t> alive_;
-  std::vector<uint32_t> deg_;
+  WorkingGraph wg_;
+  std::vector<uint32_t> delta_;  // per slot: triangles through the edge
+  std::vector<Slot> rev_;        // per slot: the reverse slot
   std::vector<Vertex> v2_;
   std::vector<Vertex> dominated_;
-  std::vector<DeferredDecision> deferred_;  // input-space ids
   std::vector<Vertex> scratch_nbrs_;
+  WorkingGraph::DegreeTwoPath path_;
   FastSet mark_, mark2_;
-  Vertex active_ = 0;  // # vertices with alive && deg > 0
   uint64_t in_base_ = 0;   // |I| decided before the core started
   uint64_t in_count_ = 0;  // vertices this core added to I
-  CompactionPolicy policy_;
 };
 
 void NearLinearCore::ApplyDominance() {
   const Vertex u = dominated_.back();
   dominated_.pop_back();
-  if (!alive_[u] || deg_[u] == 0) return;
+  if (!wg_.alive[u] || wg_.deg[u] == 0) return;
   // Re-verify: u may no longer be dominated (mutual dominance, §A.3).
-  for (Slot e = Begin(u); e < End(u); ++e) {
-    const Vertex v = adj_[e];
-    if (!alive_[v]) continue;
-    if (delta_[e] == deg_[v] - 1) {
+  for (Slot e = wg_.Begin(u); e < wg_.End(u); ++e) {
+    const Vertex v = wg_.At(e);
+    if (!wg_.alive[v]) continue;
+    if (delta_[e] == wg_.deg[v] - 1) {
       // v dominates u: remove u.
       DeleteVertex(u);
       ++sol_->rules.dominance;
@@ -285,43 +210,15 @@ void NearLinearCore::ApplyDominance() {
 }
 
 void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
-  Vertex start[2];
-  start[0] = FirstAliveNeighbor(u);
-  start[1] = OtherAliveNeighbor(u, start[0]);
-  RPMIS_DASSERT(start[0] != kInvalidVertex && start[1] != kInvalidVertex);
-  std::vector<Vertex> side[2];
-  bool is_cycle = false;
-  Vertex attach[2] = {kInvalidVertex, kInvalidVertex};
-  for (int dir = 0; dir < 2 && !is_cycle; ++dir) {
-    Vertex prev = u;
-    Vertex cur = start[dir];
-    while (deg_[cur] == 2) {
-      if (cur == u) {
-        is_cycle = true;
-        break;
-      }
-      side[dir].push_back(cur);
-      const Vertex next = OtherAliveNeighbor(cur, prev);
-      RPMIS_DASSERT(next != kInvalidVertex);
-      prev = cur;
-      cur = next;
-    }
-    if (!is_cycle) attach[dir] = cur;
-  }
-
-  if (is_cycle) {
+  wg_.WalkDegreeTwoPath(u, &path_);
+  if (path_.is_cycle) {
     ++sol_->rules.degree_two_path;
     DeleteVertex(u);
     return;
   }
-
-  std::vector<Vertex> path;
-  path.reserve(side[0].size() + side[1].size() + 1);
-  for (size_t i = side[1].size(); i-- > 0;) path.push_back(side[1][i]);
-  path.push_back(u);
-  path.insert(path.end(), side[0].begin(), side[0].end());
-  const Vertex v = attach[1];
-  const Vertex w = attach[0];
+  const std::vector<Vertex>& path = path_.path;
+  const Vertex v = path_.v;
+  const Vertex w = path_.w;
   const size_t l = path.size();
 
   if (v == w) {
@@ -329,26 +226,18 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
     DeleteVertex(v);
     return;
   }
-  const bool vw_edge = HasAliveEdge(v, w);
+  const bool vw_edge = wg_.HasAliveEdge(v, w);
   if (l % 2 == 1) {
     if (vw_edge) {
       ++sol_->rules.degree_two_path;  // Case 2
       DeleteVertex(v);
-      if (alive_[w]) DeleteVertex(w);
+      if (wg_.alive[w]) DeleteVertex(w);
       return;
     }
     if (l == 1) return;  // not applicable (Appendix A.2); checked once
     // Case 3: keep v_1, drop v_2..v_l, rewire (v_1, w) with δ = 0.
     ++sol_->rules.degree_two_path;
-    for (size_t i = l; i-- > 1;) {
-      deferred_.push_back({to_orig_[path[i]], to_orig_[path[i - 1]],
-                           i + 1 < l ? to_orig_[path[i + 1]] : to_orig_[w]});
-    }
-    for (size_t i = 1; i < l; ++i) {
-      alive_[path[i]] = 0;
-      deg_[path[i]] = 0;
-      --active_;
-    }
+    wg_.DeferPath(path_, 1);
     const Slot e1 = Rewire(path[0], path[1], w);
     const Slot e2 = Rewire(w, path[l - 1], path[0]);
     delta_[e1] = 0;
@@ -361,21 +250,12 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
   }
   // Even path: drop all of it.
   ++sol_->rules.degree_two_path;
-  for (size_t i = l; i-- > 0;) {
-    deferred_.push_back({to_orig_[path[i]],
-                         i > 0 ? to_orig_[path[i - 1]] : to_orig_[v],
-                         i + 1 < l ? to_orig_[path[i + 1]] : to_orig_[w]});
-  }
-  for (size_t i = 0; i < l; ++i) {
-    alive_[path[i]] = 0;
-    deg_[path[i]] = 0;
-    --active_;
-  }
+  wg_.DeferPath(path_, 0);
   if (vw_edge) {
     // Case 4: v and w lose one degree; triangle counts are untouched, so
     // only their own "dominates a neighbour" status can flip.
     for (Vertex x : {v, w}) {
-      --deg_[x];
+      --wg_.deg[x];
       OnDegreeDecrease(x);
     }
     RescreenVertex(v);
@@ -388,22 +268,22 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
     rev_[e1] = e2;
     rev_[e2] = e1;
     mark_.Clear();
-    for (Slot e = Begin(w); e < End(w); ++e) {
-      if (alive_[adj_[e]]) mark_.Insert(adj_[e]);
+    for (const Vertex x : wg_.Neighbors(w)) {
+      if (wg_.alive[x]) mark_.Insert(x);
     }
     uint32_t common = 0;
     mark2_.Clear();
-    for (Slot e = Begin(v); e < End(v); ++e) {
-      const Vertex x = adj_[e];
-      if (x == w || !alive_[x] || !mark_.Contains(x)) continue;
+    for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
+      const Vertex x = wg_.At(e);
+      if (x == w || !wg_.alive[x] || !mark_.Contains(x)) continue;
       ++common;
       ++delta_[e];
       ++delta_[rev_[e]];
       mark2_.Insert(x);
     }
-    for (Slot e = Begin(w); e < End(w); ++e) {
-      const Vertex x = adj_[e];
-      if (alive_[x] && mark2_.Contains(x)) {
+    for (Slot e = wg_.Begin(w); e < wg_.End(w); ++e) {
+      const Vertex x = wg_.At(e);
+      if (wg_.alive[x] && mark2_.Contains(x)) {
         ++delta_[e];
         ++delta_[rev_[e]];
       }
@@ -415,56 +295,26 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
   }
 }
 
-// Rebuilds every per-vertex and per-slot structure over the alive,
-// still-undecided subgraph. The renaming is monotone and per-vertex slot
-// order is preserved, so every later scan (first-alive-neighbour walks,
-// rewire lookups, a < b edge enumerations) sees the same sequence as
-// without compaction — the run is byte-identical either way.
-void NearLinearCore::Compact(LazyMaxBucketQueue& peel_queue) {
-  obs::TraceSpan span(obs::Trace(), "nearlinear.compact");
-  std::vector<uint8_t> keep(n_);
-  for (Vertex u = 0; u < n_; ++u) keep[u] = alive_[u] && deg_[u] > 0;
-  VertexRenaming ren = BuildRenaming(keep);
-  const Vertex new_n = static_cast<Vertex>(ren.kept.size());
-  RPMIS_DASSERT(new_n == active_);
-  std::vector<uint64_t> new_offsets;
-  std::vector<Vertex> new_adj;
+// Lets the working graph rebuild itself, then carries the per-slot δ and
+// reverse links over: a slot survives iff its owner and target survive,
+// so its reverse slot survives too.
+void NearLinearCore::MaybeCompact() {
   std::vector<uint32_t> slot_map;
-  CompactCsr(ren, offsets_, adj_, &new_offsets, &new_adj, &slot_map,
-             &sol_->compaction);
-  // A slot survives iff its owner and target both survive; its reverse
-  // slot has the same endpoints, so it survives too and the rev links can
-  // be rebuilt by composition with the slot map.
-  std::vector<uint32_t> new_delta(new_adj.size());
-  std::vector<uint32_t> new_rev(new_adj.size());
-  for (Vertex i = 0; i < new_n; ++i) {
-    const Vertex v = ren.kept[i];
-    for (uint64_t s = offsets_[v]; s < offsets_[v + 1]; ++s) {
-      if (ren.to_new[adj_[s]] == kInvalidVertex) continue;
-      new_delta[slot_map[s]] = delta_[s];
-      new_rev[slot_map[s]] = slot_map[rev_[s]];
-    }
+  if (!wg_.MaybeCompact({&v2_, &dominated_}, &slot_map)) return;
+  std::vector<uint32_t> new_delta(wg_.NumSlots());
+  std::vector<Slot> new_rev(new_delta.size());
+  for (size_t s = 0; s < slot_map.size(); ++s) {
+    if (slot_map[s] == kInvalidVertex) continue;
+    new_delta[slot_map[s]] = delta_[s];
+    new_rev[slot_map[s]] = slot_map[rev_[s]];
   }
-  own_offsets_ = std::move(new_offsets);
-  offsets_ = own_offsets_;
-  adj_ = std::move(new_adj);
   delta_ = std::move(new_delta);
   rev_ = std::move(new_rev);
-  std::vector<uint32_t> new_deg(new_n);
-  for (Vertex i = 0; i < new_n; ++i) new_deg[i] = deg_[ren.kept[i]];
-  deg_ = std::move(new_deg);
-  alive_.assign(new_n, 1);
-  ComposeToOrig(ren, &to_orig_);
-  RemapWorklist(ren, &v2_);
-  RemapWorklist(ren, &dominated_);
-  peel_queue.Compact(new_n, ren.to_new);
-  mark_.Resize(new_n);
-  mark2_.Resize(new_n);
-  n_ = new_n;
-  policy_.NoteRebuild(new_n);
+  mark_.Resize(wg_.NumVertices());
+  mark2_.Resize(wg_.NumVertices());
 }
 
-void NearLinearCore::Run(bool want_capture, KernelSnapshot* capture) {
+void NearLinearCore::Run(KernelSnapshot* capture) {
   obs::TraceSpan core_span(obs::Trace(), "nearlinear.core");
   if (obs::Progress() != nullptr) {
     // Baseline |I| for progress samples: prepass decisions, minus what the
@@ -473,44 +323,17 @@ void NearLinearCore::Run(bool want_capture, KernelSnapshot* capture) {
     for (uint8_t f : sol_->in_set) total += f;
     in_base_ = total - in_count_;
   }
-  std::vector<uint32_t> keys(deg_.begin(), deg_.end());
-  LazyMaxBucketQueue peel_queue(keys);
   bool peeled_yet = false;
-
-  auto capture_now = [&]() {
-    if (!want_capture) return;
-    // Translate the kernel-space state into input ids and snapshot.
-    const Vertex n_orig = static_cast<Vertex>(sol_->in_set.size());
-    std::vector<uint8_t> alive_o(n_orig, 0);
-    std::vector<uint32_t> deg_o(n_orig, 0);
-    for (Vertex k = 0; k < n_; ++k) {
-      const Vertex o = to_orig_[k];
-      alive_o[o] = alive_[k];
-      deg_o[o] = deg_[k];
-    }
-    std::vector<Edge> edges;
-    for (Vertex a = 0; a < n_; ++a) {
-      if (!alive_[a] || deg_[a] == 0) continue;
-      for (Slot e = Begin(a); e < End(a); ++e) {
-        const Vertex b = adj_[e];
-        if (a < b && alive_[b] && deg_[b] > 0) {
-          edges.emplace_back(to_orig_[a], to_orig_[b]);
-        }
-      }
-    }
-    internal::BuildKernelSnapshot(alive_o, deg_o, sol_->in_set, edges,
-                                  deferred_, capture);
-  };
-
   while (true) {
     if (auto* ps = obs::Progress(); ps != nullptr && ps->Due()) {
-      SampleProgress(ps);
+      wg_.SampleProgress(ps, in_base_ + in_count_, sol_->rules.peels,
+                         "nearlinear.core");
     }
-    if (policy_.ShouldCompact(active_)) Compact(peel_queue);
+    MaybeCompact();
     if (!v2_.empty()) {
       const Vertex u = v2_.back();
       v2_.pop_back();
-      if (!alive_[u] || deg_[u] != 2) continue;
+      if (!wg_.alive[u] || wg_.deg[u] != 2) continue;
       DegreeTwoPathReduction(u);
       continue;
     }
@@ -518,25 +341,17 @@ void NearLinearCore::Run(bool want_capture, KernelSnapshot* capture) {
       ApplyDominance();
       continue;
     }
-    const Vertex u = peel_queue.PopMax(
-        [&](Vertex x) { return deg_[x]; },
-        [&](Vertex x) { return alive_[x] && deg_[x] >= 2; });
+    const Vertex u = wg_.PopMaxDegree();
     if (u == kInvalidVertex) break;
     if (!peeled_yet) {
       peeled_yet = true;
-      if (auto* t = obs::Trace()) t->Instant("nearlinear.first_peel");
-      sol_->kernel_vertices = active_;
-      for (Vertex x = 0; x < n_; ++x) {
-        if (alive_[x]) sol_->kernel_edges += deg_[x];
-      }
-      sol_->kernel_edges /= 2;
-      capture_now();
+      wg_.NoteFirstPeel("nearlinear.first_peel", sol_, capture);
     }
-    (*peeled_orig_)[to_orig_[u]] = 1;
+    (*peeled_orig_)[wg_.to_orig[u]] = 1;
     ++sol_->rules.peels;
     DeleteVertex(u);
   }
-  if (!peeled_yet) capture_now();
+  if (capture != nullptr && !peeled_yet) wg_.CaptureKernel(sol_->in_set, capture);
 }
 
 }  // namespace
@@ -615,19 +430,14 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
   std::vector<uint8_t> peeled_orig(n, 0);
   NearLinearCore core(kernel, std::move(kernel_to_orig), &sol, &peeled_orig,
                       options.compaction);
-  core.Run(capture != nullptr, capture);
+  core.Run(capture);
 
   // Deferred path decisions are recorded in input ids, so they replay
   // directly against the final membership flags.
   obs::TraceSpan finalize_span(obs::Trace(), "nearlinear.finalize");
   core.ReplayDeferred();
   ExtendToMaximal(g, sol.in_set);
-  sol.RecountSize();
-  sol.peeled = sol.rules.peels;
-  for (Vertex v = 0; v < n; ++v) {
-    if (peeled_orig[v] && !sol.in_set[v]) ++sol.residual_peeled;
-  }
-  sol.provably_maximum = (sol.residual_peeled == 0);
+  sol.Finalize(peeled_orig);
   return sol;
 }
 

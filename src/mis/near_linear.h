@@ -22,8 +22,8 @@ struct NearLinearOptions {
   bool one_pass_dominance = true;
   bool lp_reduction = true;
   /// Mid-run alive-subgraph rebuilds of the main-loop kernel
-  /// (mis/compaction.h). Output is byte-identical with compaction disabled
-  /// or at any threshold.
+  /// (mis/working_graph.h). Output is byte-identical with compaction
+  /// disabled or at any threshold.
   CompactionOptions compaction;
 };
 

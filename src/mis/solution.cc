@@ -28,6 +28,17 @@ void MisSolution::MergeStatsFrom(const MisSolution& part) {
   compaction += part.compaction;
 }
 
+void MisSolution::Finalize(std::span<const uint8_t> peeled_flags) {
+  RPMIS_ASSERT(peeled_flags.size() == in_set.size());
+  RecountSize();
+  peeled = rules.peels;
+  residual_peeled = 0;
+  for (size_t v = 0; v < peeled_flags.size(); ++v) {
+    if (peeled_flags[v] && !in_set[v]) ++residual_peeled;
+  }
+  provably_maximum = (residual_peeled == 0);
+}
+
 uint64_t ExtendToMaximal(const Graph& g, std::vector<uint8_t>& in_set) {
   RPMIS_ASSERT(in_set.size() == g.NumVertices());
   uint64_t added = 0;

@@ -3,6 +3,7 @@
 #define RPMIS_MIS_SOLUTION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -98,6 +99,11 @@ struct MisSolution {
     size = 0;
     for (uint8_t f : in_set) size += f;
   }
+
+  /// The Reducing-Peeling finalize tail, run once `in_set` is final:
+  /// recounts `size`, sets |F| from the peel counter and derives |R| and
+  /// the Theorem 6.1 certificate from `peeled` (one flag per input vertex).
+  void Finalize(std::span<const uint8_t> peeled);
 };
 
 /// Greedily extends `in_set` to a maximal independent set of g: every

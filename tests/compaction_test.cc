@@ -1,8 +1,9 @@
-// Compaction-engine tests: renaming primitives, byte-identical
-// differential runs (compaction on at several thresholds vs off) for all
-// four Table-1 algorithms and the kernelizer, NearLinear equivalence
-// across thread counts, and the O(n + m) total-work regression
-// guarding against quadratic re-mapping.
+// Compaction tests: the renaming and the working graph's rebuild
+// (mapping stack, worklist renaming, slot order and slot map),
+// byte-identical differential runs (compaction on at several thresholds
+// vs off, kernel snapshots included) for the three compacting solvers,
+// NearLinear equivalence across thread counts, and the O(n + m)
+// total-work regression guarding against quadratic re-mapping.
 #include "mis/compaction.h"
 
 #include <gtest/gtest.h>
@@ -16,12 +17,11 @@
 #include "graph/graph.h"
 #include "localsearch/boosted.h"
 #include "mis/bdone.h"
-#include "mis/bdtwo.h"
-#include "mis/kernelizer.h"
 #include "mis/linear_time.h"
 #include "mis/near_linear.h"
 #include "mis/solution.h"
 #include "mis/verify.h"
+#include "mis/working_graph.h"
 #include "test_util.h"
 
 namespace rpmis {
@@ -68,51 +68,94 @@ TEST(CompactionPrimitives, BuildRenamingIsMonotone) {
   EXPECT_EQ(ren.to_new[6], 3u);
 }
 
+// Compaction options that rebuild whenever any vertex has left the graph.
+CompactionOptions Always() {
+  return {.enabled = true, .threshold = 1.0, .min_vertices = 1};
+}
+
+// Removes v from a test working graph the way the solvers do.
+void Kill(WorkingGraph& wg, Vertex v) {
+  wg.alive[v] = 0;
+  --wg.active;
+  for (const Vertex w : wg.Neighbors(v)) {
+    if (wg.alive[w] && --wg.deg[w] == 0) --wg.active;
+  }
+}
+
 TEST(CompactionPrimitives, ComposeToOrigStacks) {
-  // First layer: identity over 6, keep {0,2,4,5}; second: keep {1,3} of 4.
-  std::vector<Vertex> to_orig(6);
-  std::iota(to_orig.begin(), to_orig.end(), Vertex{0});
-  const VertexRenaming first = BuildRenaming(std::vector<uint8_t>{1, 0, 1, 0, 1, 1});
-  ComposeToOrig(first, &to_orig);
-  EXPECT_EQ(to_orig, (std::vector<Vertex>{0, 2, 4, 5}));
-  const VertexRenaming second = BuildRenaming(std::vector<uint8_t>{0, 1, 0, 1});
-  ComposeToOrig(second, &to_orig);
-  EXPECT_EQ(to_orig, (std::vector<Vertex>{2, 5}));
+  // Two disjoint paths 0-2-5-4 and 1-3; the first rebuild drops {1, 3},
+  // the second drops the new ids of 0 and 4.
+  const Graph g = Graph::FromEdges(
+      6, std::vector<Edge>{{0, 2}, {2, 5}, {5, 4}, {1, 3}});
+  CompactionStats stats;
+  WorkingGraph wg(g, {}, WorkingGraph::Adjacency::kView, Always(),
+                  "test.compact", &stats);
+  Kill(wg, 1);
+  ASSERT_TRUE(wg.MaybeCompact({}));
+  EXPECT_EQ(wg.to_orig, (std::vector<Vertex>{0, 2, 4, 5}));
+  Kill(wg, 0);
+  Kill(wg, 2);
+  ASSERT_TRUE(wg.MaybeCompact({}));
+  EXPECT_EQ(wg.to_orig, (std::vector<Vertex>{2, 5}));
+  EXPECT_EQ(stats.compactions, 2u);
 }
 
 TEST(CompactionPrimitives, RemapWorklistPreservesOrderDropsDead) {
-  const VertexRenaming ren = BuildRenaming(std::vector<uint8_t>{1, 0, 1, 1});
+  const Graph g = Graph::FromEdges(4, std::vector<Edge>{{0, 1}, {2, 3}});
+  CompactionStats stats;
+  WorkingGraph wg(g, {}, WorkingGraph::Adjacency::kView, Always(),
+                  "test.compact", &stats);
   std::vector<Vertex> wl = {3, 1, 0, 2, 1, 3};
-  RemapWorklist(ren, &wl);
+  std::vector<Vertex> empty;
+  wg.alive[1] = 0;  // 0 stays alive with a stale positive degree
+  --wg.active;
+  ASSERT_TRUE(wg.MaybeCompact({&wl, &empty}));
   EXPECT_EQ(wl, (std::vector<Vertex>{2, 0, 1, 2}));
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST(CompactionPrimitives, CompactCsrPreservesSlotOrder) {
   // 0 - 1 - 2 - 3 plus chord 0-2; drop vertex 1.
   const Graph g = Graph::FromEdges(
       4, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {0, 2}});
-  const VertexRenaming ren = BuildRenaming(std::vector<uint8_t>{1, 0, 1, 1});
-  std::vector<uint64_t> offsets;
-  std::vector<Vertex> adj;
   CompactionStats stats;
-  CompactCsr(ren, g.RawOffsets(), g.RawNeighbors(), &offsets, &adj, nullptr,
-             &stats);
-  ASSERT_EQ(offsets.size(), 4u);
+  WorkingGraph wg(g, {}, WorkingGraph::Adjacency::kView, Always(),
+                  "test.compact", &stats);
+  Kill(wg, 1);
+  std::vector<uint32_t> slot_map;
+  ASSERT_TRUE(wg.MaybeCompact({}, &slot_map));
+  ASSERT_EQ(wg.NumVertices(), 3u);
   // New 0 = old 0: neighbours were {1, 2}; slot for dead 1 dropped.
-  EXPECT_EQ(adj[offsets[0]], 1u);
-  EXPECT_EQ(offsets[1] - offsets[0], 1u);
+  EXPECT_EQ(std::vector<Vertex>(wg.Neighbors(0).begin(), wg.Neighbors(0).end()),
+            (std::vector<Vertex>{1}));
   // New 1 = old 2: neighbours were {0, 1, 3} -> {0, 2} in new ids.
-  EXPECT_EQ(offsets[2] - offsets[1], 2u);
-  EXPECT_EQ(adj[offsets[1]], 0u);
-  EXPECT_EQ(adj[offsets[1] + 1], 2u);
+  EXPECT_EQ(std::vector<Vertex>(wg.Neighbors(1).begin(), wg.Neighbors(1).end()),
+            (std::vector<Vertex>{0, 2}));
   // New 2 = old 3: neighbour {2} -> {1}.
-  EXPECT_EQ(offsets[3] - offsets[2], 1u);
-  EXPECT_EQ(adj[offsets[2]], 1u);
+  EXPECT_EQ(std::vector<Vertex>(wg.Neighbors(2).begin(), wg.Neighbors(2).end()),
+            (std::vector<Vertex>{1}));
+  EXPECT_EQ(wg.deg, (std::vector<uint32_t>{1, 2, 1}));
+  // Old slots: 0:{1,2} 1:{0,2} 2:{0,1,3} 3:{2}.
+  const uint32_t x = kInvalidVertex;
+  EXPECT_EQ(slot_map, (std::vector<uint32_t>{x, 0, x, x, 1, x, 2, 3}));
   EXPECT_EQ(stats.vertices_scanned, 4u);
   // Only kept vertices' lists are walked: deg(0) + deg(2) + deg(3).
   EXPECT_EQ(stats.slots_scanned, 6u);
   EXPECT_EQ(stats.vertices_kept, 3u);
   EXPECT_EQ(stats.slots_kept, 4u);
+}
+
+TEST(CompactionPrimitives, BelowThresholdDoesNotRebuild) {
+  const Graph g = Graph::FromEdges(4, std::vector<Edge>{{0, 1}, {2, 3}});
+  CompactionStats stats;
+  WorkingGraph wg(g, {}, WorkingGraph::Adjacency::kView,
+                  {.enabled = true, .threshold = 0.5, .min_vertices = 1},
+                  "test.compact", &stats);
+  Kill(wg, 0);  // active 2 of 4: not below half
+  EXPECT_FALSE(wg.MaybeCompact({}));
+  Kill(wg, 2);  // active 0: nothing left to rebuild
+  EXPECT_FALSE(wg.MaybeCompact({}));
+  EXPECT_EQ(stats.compactions, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -141,6 +184,24 @@ void ExpectIdenticalModuloCompaction(const MisSolution& on,
   EXPECT_EQ(off.compaction.compactions, 0u);
 }
 
+void ExpectIdenticalSnapshots(const KernelSnapshot& on, const KernelSnapshot& off,
+                              const std::string& label) {
+  SCOPED_TRACE(label);
+  ASSERT_TRUE(on.captured);
+  ASSERT_TRUE(off.captured);
+  EXPECT_EQ(on.kernel.NumVertices(), off.kernel.NumVertices());
+  EXPECT_EQ(on.kernel.CollectEdges(), off.kernel.CollectEdges());
+  EXPECT_EQ(on.kernel_to_orig, off.kernel_to_orig);
+  EXPECT_EQ(on.orig_to_kernel, off.orig_to_kernel);
+  EXPECT_EQ(on.included, off.included);
+  ASSERT_EQ(on.deferred_stack.size(), off.deferred_stack.size());
+  for (size_t i = 0; i < on.deferred_stack.size(); ++i) {
+    const DeferredDecision& a = on.deferred_stack[i];
+    const DeferredDecision& b = off.deferred_stack[i];
+    EXPECT_TRUE(a.v == b.v && a.nb1 == b.nb1 && a.nb2 == b.nb2) << "entry " << i;
+  }
+}
+
 std::vector<std::pair<std::string, Graph>> DifferentialGraphs() {
   std::vector<std::pair<std::string, Graph>> graphs;
   graphs.emplace_back("fig1", PaperFigure1());
@@ -166,13 +227,16 @@ CompactionOptions Aggressive(double threshold) {
 
 TEST(CompactionDifferential, BDOne) {
   for (const auto& [name, g] : DifferentialGraphs()) {
-    const MisSolution off = RunBDOne(g, nullptr, {.compaction = {.enabled = false}});
+    KernelSnapshot off_snap;
+    const MisSolution off =
+        RunBDOne(g, &off_snap, {.compaction = {.enabled = false}});
     EXPECT_TRUE(IsMaximalIndependentSet(g, off.in_set));
     for (double t : kThresholds) {
-      const MisSolution on =
-          RunBDOne(g, nullptr, {.compaction = Aggressive(t)});
-      ExpectIdenticalModuloCompaction(on, off,
-                                      name + " t=" + std::to_string(t));
+      const std::string label = name + " t=" + std::to_string(t);
+      KernelSnapshot on_snap;
+      const MisSolution on = RunBDOne(g, &on_snap, {.compaction = Aggressive(t)});
+      ExpectIdenticalModuloCompaction(on, off, label);
+      ExpectIdenticalSnapshots(on_snap, off_snap, label);
       if (g.NumVertices() >= 1000 && t >= 0.9) {
         EXPECT_GT(on.compaction.compactions, 0u) << name;
       }
@@ -180,28 +244,19 @@ TEST(CompactionDifferential, BDOne) {
   }
 }
 
-TEST(CompactionDifferential, BDTwo) {
-  for (const auto& [name, g] : DifferentialGraphs()) {
-    const MisSolution off = RunBDTwo(g, {.compaction = {.enabled = false}});
-    EXPECT_TRUE(IsMaximalIndependentSet(g, off.in_set));
-    for (double t : kThresholds) {
-      const MisSolution on = RunBDTwo(g, {.compaction = Aggressive(t)});
-      ExpectIdenticalModuloCompaction(on, off,
-                                      name + " t=" + std::to_string(t));
-    }
-  }
-}
-
 TEST(CompactionDifferential, LinearTime) {
   for (const auto& [name, g] : DifferentialGraphs()) {
+    KernelSnapshot off_snap;
     const MisSolution off =
-        RunLinearTime(g, nullptr, {.compaction = {.enabled = false}});
+        RunLinearTime(g, &off_snap, {.compaction = {.enabled = false}});
     EXPECT_TRUE(IsMaximalIndependentSet(g, off.in_set));
     for (double t : kThresholds) {
+      const std::string label = name + " t=" + std::to_string(t);
+      KernelSnapshot on_snap;
       const MisSolution on =
-          RunLinearTime(g, nullptr, {.compaction = Aggressive(t)});
-      ExpectIdenticalModuloCompaction(on, off,
-                                      name + " t=" + std::to_string(t));
+          RunLinearTime(g, &on_snap, {.compaction = Aggressive(t)});
+      ExpectIdenticalModuloCompaction(on, off, label);
+      ExpectIdenticalSnapshots(on_snap, off_snap, label);
     }
   }
 }
@@ -210,14 +265,17 @@ TEST(CompactionDifferential, NearLinear) {
   for (const auto& [name, g] : DifferentialGraphs()) {
     NearLinearOptions off_opts;
     off_opts.compaction.enabled = false;
-    const MisSolution off = RunNearLinear(g, nullptr, off_opts);
+    KernelSnapshot off_snap;
+    const MisSolution off = RunNearLinear(g, &off_snap, off_opts);
     EXPECT_TRUE(IsMaximalIndependentSet(g, off.in_set));
     for (double t : kThresholds) {
+      const std::string label = name + " t=" + std::to_string(t);
       NearLinearOptions on_opts;
       on_opts.compaction = Aggressive(t);
-      const MisSolution on = RunNearLinear(g, nullptr, on_opts);
-      ExpectIdenticalModuloCompaction(on, off,
-                                      name + " t=" + std::to_string(t));
+      KernelSnapshot on_snap;
+      const MisSolution on = RunNearLinear(g, &on_snap, on_opts);
+      ExpectIdenticalModuloCompaction(on, off, label);
+      ExpectIdenticalSnapshots(on_snap, off_snap, label);
     }
   }
 }
@@ -242,79 +300,10 @@ TEST(CompactionDifferential, NearLinearCoreOnly) {
   }
 }
 
-TEST(CompactionDifferential, Kernelizer) {
-  for (const auto& [name, g] : DifferentialGraphs()) {
-    SCOPED_TRACE(name);
-    KernelizerOptions off_opts;
-    off_opts.compaction.enabled = false;
-    Kernelizer off(g, off_opts);
-    off.Run();
-    for (double t : kThresholds) {
-      SCOPED_TRACE(t);
-      KernelizerOptions on_opts;
-      on_opts.compaction = Aggressive(t);
-      Kernelizer on(g, on_opts);
-      on.Run();
-      EXPECT_EQ(on.AlphaOffset(), off.AlphaOffset());
-      EXPECT_EQ(on.KernelToOrig(), off.KernelToOrig());
-      ASSERT_EQ(on.Kernel().NumVertices(), off.Kernel().NumVertices());
-      EXPECT_EQ(on.Kernel().NumEdges(), off.Kernel().NumEdges());
-      for (Vertex v = 0; v < on.Kernel().NumVertices(); ++v) {
-        const auto na = on.Kernel().Neighbors(v);
-        const auto nb = off.Kernel().Neighbors(v);
-        ASSERT_EQ(na.size(), nb.size());
-        EXPECT_TRUE(std::equal(na.begin(), na.end(), nb.begin()));
-      }
-      // Lift an arbitrary kernel IS through both op logs.
-      std::vector<uint8_t> kis(on.Kernel().NumVertices(), 0);
-      for (Vertex v = 0; v < on.Kernel().NumVertices(); ++v) {
-        bool free = true;
-        for (Vertex w : on.Kernel().Neighbors(v)) {
-          if (w < v && kis[w]) {
-            free = false;
-            break;
-          }
-        }
-        kis[v] = free;
-      }
-      EXPECT_EQ(on.Lift(kis), off.Lift(kis));
-      EXPECT_EQ(off.Compaction().compactions, 0u);
-    }
-  }
-}
-
-// Regression: an aggressive threshold fires a compaction on nearly every
-// worklist iteration, and RemapWorklist may drop the worklist's remaining
-// (all-dead) entries — the pop that follows must notice the list went
-// empty instead of reading past the end of the freed buffer. G(100, 220)
-// seed 11 at threshold 0.9 is a known trigger (originally surfaced as a
-// heap-buffer-overflow through the exact solver's per-node kernelization);
-// the surrounding seed sweep keeps coverage if reduction details shift.
-TEST(CompactionDifferential, KernelizerWorklistEmptiedByCompaction) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    SCOPED_TRACE(seed);
-    const Graph g = ErdosRenyiGnm(100, 220, seed);
-    KernelizerOptions off_opts;
-    off_opts.compaction.enabled = false;
-    Kernelizer off(g, off_opts);
-    off.Run();
-    for (double t : {1.0, 0.9, 0.5}) {
-      SCOPED_TRACE(t);
-      KernelizerOptions on_opts;
-      on_opts.compaction = Aggressive(t);
-      Kernelizer on(g, on_opts);
-      on.Run();
-      EXPECT_EQ(on.AlphaOffset(), off.AlphaOffset());
-      EXPECT_EQ(on.KernelToOrig(), off.KernelToOrig());
-      EXPECT_EQ(on.Kernel().NumVertices(), off.Kernel().NumVertices());
-      EXPECT_EQ(on.Kernel().NumEdges(), off.Kernel().NumEdges());
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // NearLinear's parallel pieces (the compact LP and kernel edge builds,
-// CompactCsr) must leave the solution byte-identical at any thread count.
+// the working graph's CSR rebuild) must leave the solution byte-identical
+// at any thread count.
 
 TEST(ParallelDominance, NearLinearEndToEndAcrossThreadCounts) {
   const Graph g = ChungLuPowerLaw(10000, 2.5, 8.0, 29);
@@ -357,28 +346,19 @@ TEST(CompactionWork, TotalRebuildWorkIsLinear) {
   EXPECT_LT(sol.compaction.vertices_kept, sol.compaction.vertices_scanned);
 }
 
-// Aggressive-threshold smoke across every consumer on one graph: catches
+// Aggressive-threshold smoke across every compacting solver on one graph: catches
 // mapping bugs in seconds without the 10M-edge bench.
 TEST(CompactionWork, AggressiveSmokeAllAlgorithms) {
   const Graph g = ChungLuPowerLaw(3000, 2.5, 6.0, 37);
   const CompactionOptions copts = Aggressive(0.95);
   const MisSolution a = RunBDOne(g, nullptr, {.compaction = copts});
   EXPECT_TRUE(IsMaximalIndependentSet(g, a.in_set));
-  const MisSolution b = RunBDTwo(g, {.compaction = copts});
-  EXPECT_TRUE(IsMaximalIndependentSet(g, b.in_set));
   const MisSolution c = RunLinearTime(g, nullptr, {.compaction = copts});
   EXPECT_TRUE(IsMaximalIndependentSet(g, c.in_set));
   NearLinearOptions nl;
   nl.compaction = copts;
   const MisSolution d = RunNearLinear(g, nullptr, nl);
   EXPECT_TRUE(IsMaximalIndependentSet(g, d.in_set));
-  KernelizerOptions ko;
-  ko.compaction = copts;
-  Kernelizer k(g, ko);
-  k.Run();
-  const std::vector<uint8_t> lifted =
-      k.Lift(std::vector<uint8_t>(k.Kernel().NumVertices(), 0));
-  EXPECT_TRUE(IsIndependentSet(g, lifted));
 }
 
 // ARW boosted by a compacting solver must see the exact same kernel (and

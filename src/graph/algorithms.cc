@@ -77,6 +77,8 @@ Graph ComponentExtractor::Extract(Vertex c) const {
 }
 
 void CheckEdgeIdsFit32Bits(uint64_t directed_edges) {
+  // Strict: every slot id must stay below kInvalidVertex, which
+  // EdgeTriangleCounts uses as its "unmarked slot" sentinel.
   if (directed_edges >= static_cast<uint64_t>(kInvalidVertex)) {
     throw std::runtime_error(
         "rpmis::algorithms: graph too large for 32-bit edge ids (" +
@@ -89,66 +91,75 @@ std::vector<uint32_t> ReverseEdgeIndex(const Graph& g) {
   const uint64_t directed = 2 * g.NumEdges();
   CheckEdgeIdsFit32Bits(directed);
   std::vector<uint32_t> rev(directed);
+  // next[w]: w's first slot not yet paired. Visiting v in increasing order
+  // reaches w's lower neighbours in the order N(w) lists them, so the slot
+  // of (w, v) for w > v is always next[w].
+  std::vector<uint32_t> next(g.NumVertices());
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    const auto nb = g.Neighbors(v);
-    for (size_t i = 0; i < nb.size(); ++i) {
-      const Vertex w = nb[i];
-      const auto wn = g.Neighbors(w);
-      const auto it = std::lower_bound(wn.begin(), wn.end(), v);
-      RPMIS_DASSERT(it != wn.end() && *it == v);
-      rev[g.EdgeBegin(v) + i] =
-          static_cast<uint32_t>(g.EdgeBegin(w) + (it - wn.begin()));
+    next[v] = static_cast<uint32_t>(g.EdgeBegin(v));
+  }
+  for (Vertex v = 0; v < g.NumVertices(); ++v) {
+    for (uint64_t e = g.EdgeBegin(v); e < g.EdgeEnd(v); ++e) {
+      const Vertex w = g.EdgeTarget(e);
+      if (w < v) continue;
+      const uint32_t r = next[w]++;
+      RPMIS_DASSERT(g.EdgeTarget(r) == v);
+      rev[e] = r;
+      rev[r] = static_cast<uint32_t>(e);
     }
   }
   return rev;
 }
 
 std::vector<uint32_t> EdgeTriangleCounts(const Graph& g) {
+  return EdgeTriangleCounts(g, ReverseEdgeIndex(g));
+}
+
+std::vector<uint32_t> EdgeTriangleCounts(const Graph& g,
+                                         std::span<const uint32_t> rev) {
   const uint64_t directed = 2 * g.NumEdges();
   CheckEdgeIdsFit32Bits(directed);
-  std::vector<uint32_t> delta(directed, 0);
-  const std::vector<uint32_t> rev = ReverseEdgeIndex(g);
+  RPMIS_ASSERT(rev.size() == directed);
   const Vertex n = g.NumVertices();
-  // plus_begin[v]: first slot of v whose neighbour id exceeds v, i.e. the
-  // start of the "forward" sublist A+(v). Sorted adjacency makes A+ a
-  // contiguous suffix.
-  std::vector<uint64_t> plus_begin(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto vn = g.Neighbors(v);
-    plus_begin[v] =
-        g.EdgeBegin(v) + (std::upper_bound(vn.begin(), vn.end(), v) - vn.begin());
-  }
-  // Forward triangle enumeration: every triangle {u < v < w} is discovered
-  // exactly once — while merging the post-v suffix of N(u) against A+(v) for
-  // the edge (u, v) — and credits all three of its edges (both directions
-  // each). Per-edge totals therefore equal |N(u) ∩ N(v)| without ever
-  // re-walking full adjacency lists.
+  // Orient each edge from the lower to the higher (degree, id) rank and keep
+  // only the out-slots: out-degrees are then O(sqrt(m)), hubs included.
+  const auto ranks_below = [&g](Vertex a, Vertex b) {
+    const uint32_t da = g.Degree(a), db = g.Degree(b);
+    return da < db || (da == db && a < b);
+  };
+  std::vector<uint32_t> out_begin(static_cast<size_t>(n) + 1, 0);
+  std::vector<Vertex> out_targets(directed / 2);
+  std::vector<uint32_t> out_slots(directed / 2);
   for (Vertex u = 0; u < n; ++u) {
-    const uint64_t u_end = g.EdgeEnd(u);
-    for (uint64_t e = plus_begin[u]; e < u_end; ++e) {
+    uint32_t pos = out_begin[u];
+    for (uint64_t e = g.EdgeBegin(u); e < g.EdgeEnd(u); ++e) {
       const Vertex v = g.EdgeTarget(e);
-      const uint64_t v_end = g.EdgeEnd(v);
-      uint64_t a = e + 1;  // slots after v in N(u): ids > v
-      uint64_t b = plus_begin[v];
-      while (a < u_end && b < v_end) {
-        const Vertex wa = g.EdgeTarget(a);
-        const Vertex wb = g.EdgeTarget(b);
-        if (wa < wb) {
-          ++a;
-        } else if (wa > wb) {
-          ++b;
-        } else {
+      if (!ranks_below(u, v)) continue;
+      out_targets[pos] = v;
+      out_slots[pos++] = static_cast<uint32_t>(e);
+    }
+    out_begin[u + 1] = pos;
+  }
+  // Each triangle u < v < w (by rank) is found once, at u: mark[w] holds
+  // the slot (u, w) while u is processed, and each out-neighbour v of u
+  // probes its own out-list against the marks. All six slots are credited.
+  std::vector<uint32_t> delta(directed, 0);
+  std::vector<uint32_t> mark(n, kInvalidVertex);
+  for (Vertex u = 0; u < n; ++u) {
+    const uint32_t begin = out_begin[u], end = out_begin[u + 1];
+    for (uint32_t i = begin; i < end; ++i) mark[out_targets[i]] = out_slots[i];
+    for (uint32_t i = begin; i < end; ++i) {
+      const Vertex v = out_targets[i];
+      for (uint32_t j = out_begin[v]; j < out_begin[v + 1]; ++j) {
+        const uint32_t uw = mark[out_targets[j]];
+        if (uw == kInvalidVertex) continue;
+        for (const uint32_t e : {out_slots[i], out_slots[j], uw}) {
           ++delta[e];
           ++delta[rev[e]];
-          ++delta[a];
-          ++delta[rev[a]];
-          ++delta[b];
-          ++delta[rev[b]];
-          ++a;
-          ++b;
         }
       }
     }
+    for (uint32_t i = begin; i < end; ++i) mark[out_targets[i]] = kInvalidVertex;
   }
   return delta;
 }

@@ -74,23 +74,28 @@ class ComponentExtractor {
 
 /// Validates that a directed edge count fits the 32-bit edge ids used by
 /// ReverseEdgeIndex / EdgeTriangleCounts (the paper's 4m-int space
-/// budget). Throws std::runtime_error naming the offending count instead
-/// of asserting, so callers feeding multi-billion-edge graphs get a
-/// diagnosable failure. Exposed for tests (the limit itself is not
-/// reachable with test-sized graphs).
+/// budget); kInvalidVertex itself stays free as a sentinel. Throws
+/// std::runtime_error naming the offending count instead of asserting, so
+/// callers feeding multi-billion-edge graphs get a diagnosable failure.
+/// Exposed for tests (the limit itself is not reachable with test-sized
+/// graphs).
 void CheckEdgeIdsFit32Bits(uint64_t directed_edges);
 
 /// Per-directed-edge reverse index: for the directed edge id e representing
-/// (u, v), result[e] is the id of (v, u). O(m log Δ). Throws via
-/// CheckEdgeIdsFit32Bits when the directed edge count exceeds 32 bits.
+/// (u, v), result[e] is the id of (v, u). One ascending sweep, O(n + m), no
+/// search. Throws via CheckEdgeIdsFit32Bits when the directed edge count
+/// exceeds 32 bits.
 std::vector<uint32_t> ReverseEdgeIndex(const Graph& g);
 
 /// Per-directed-edge triangle counts δ(u, v) = |N(u) ∩ N(v)| (Lemma 5.2).
-/// Both directions of an edge carry the same count. Forward enumeration
-/// over id-ordered adjacency suffixes: each triangle is discovered once at
-/// its lowest-id edge and credits all three edges, so the merge cost is
-/// O(sum over edges of d⁺(u) + d⁺(v)) — roughly a third of the naive
-/// full-list merges on sparse graphs.
+/// Both directions of an edge carry the same count. Degree-ordered
+/// enumeration: each edge points from the lower to the higher (degree, id)
+/// rank, so every out-degree is O(√m) even at hubs; each triangle is found
+/// once, by probing out-lists against a mark array, and credits all six of
+/// its slots. O(m√m) worst case, near-linear on power-law graphs. `rev`
+/// must be ReverseEdgeIndex(g); the one-argument form builds it.
+std::vector<uint32_t> EdgeTriangleCounts(const Graph& g,
+                                         std::span<const uint32_t> rev);
 std::vector<uint32_t> EdgeTriangleCounts(const Graph& g);
 
 /// Total number of triangles in the graph.

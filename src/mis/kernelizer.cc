@@ -311,9 +311,8 @@ bool Kernelizer::RunTwinPass() {
 bool Kernelizer::RunLpPass() {
   const VertexRenaming ren = BuildRenaming(alive_);
   const std::vector<Vertex>& ids = ren.kept;
-  std::vector<Edge> edges;
-  BuildCompactEdges(adj_, ren, &edges);
-  const LpReduction lp = SolveLpReduction(static_cast<Vertex>(ids.size()), edges);
+  const LpReduction lp = SolveLpReduction(BuildCompactGraph(
+      ren, [this](Vertex v) { return std::span<const Vertex>(adj_[v]); }));
   if (lp.num_include == 0 && lp.num_exclude == 0) return false;
   rules_.lp += lp.num_include + lp.num_exclude;
   // Excluding all x=0 vertices isolates the x=1 vertices, which then join

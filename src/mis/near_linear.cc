@@ -92,9 +92,9 @@ class NearLinearCore {
             copts, "nearlinear.compact", &sol->compaction),
         mark_(kg.NumVertices()),
         mark2_(kg.NumVertices()) {
-    RPMIS_ASSERT(2 * kg.NumEdges() <= static_cast<uint64_t>(kInvalidVertex));
-    delta_ = EdgeTriangleCounts(kg);
-    rev_ = ReverseEdgeIndex(kg);
+    obs::TraceSpan span(obs::Trace(), "nearlinear.triangles");
+    rev_ = ReverseEdgeIndex(kg);  // throws if 2m does not fit a Slot
+    delta_ = EdgeTriangleCounts(kg, rev_);
     // Initial worklists. Dominated set: u dominates v  =>  v is dominated.
     for (Vertex u = 0; u < kg.NumVertices(); ++u) {
       if (wg_.deg[u] == 2) v2_.push_back(u);
@@ -373,6 +373,8 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
     }
   }
 
+  const auto neighbors = [&g](Vertex v) { return g.Neighbors(v); };
+
   // Prepass 1: one-pass dominance, decreasing degree order (shrinks Δ).
   if (options.one_pass_dominance) {
     obs::TraceSpan span(obs::Trace(), "nearlinear.prepass.dominance");
@@ -385,10 +387,7 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
     std::vector<uint8_t> keep(n);
     for (Vertex v = 0; v < n; ++v) keep[v] = alive[v] && deg[v] > 0;
     const VertexRenaming ren = BuildRenaming(keep);
-    std::vector<Edge> edges;
-    BuildCompactEdges(g, ren, &edges);  // deterministic parallel build
-    const LpReduction lp =
-        SolveLpReduction(static_cast<Vertex>(ren.kept.size()), edges);
+    const LpReduction lp = SolveLpReduction(BuildCompactGraph(ren, neighbors));
     sol.rules.lp = lp.num_include + lp.num_exclude;
     for (Vertex c = 0; c < ren.kept.size(); ++c) {
       const Vertex v = ren.kept[c];
@@ -403,7 +402,7 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
 
   // Build the compact kernel instance for the main loop.
   std::vector<Vertex> kernel_to_orig;
-  std::vector<Edge> kernel_edges;
+  Graph kernel;
   {
     obs::TraceSpan span(obs::Trace(), "nearlinear.kernel_build");
     // Recompute liveness-aware degrees after the prepasses.
@@ -421,11 +420,9 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
       }
     }
     VertexRenaming ren = BuildRenaming(keep);
-    BuildCompactEdges(g, ren, &kernel_edges);  // deterministic parallel build
+    kernel = BuildCompactGraph(ren, neighbors);
     kernel_to_orig = std::move(ren.kept);
   }
-  const Graph kernel = Graph::FromEdges(
-      static_cast<Vertex>(kernel_to_orig.size()), kernel_edges);
 
   std::vector<uint8_t> peeled_orig(n, 0);
   NearLinearCore core(kernel, std::move(kernel_to_orig), &sol, &peeled_orig,

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -101,14 +104,41 @@ TEST(EdgeIdLimitTest, OverflowIsDiagnosable) {
   }
 }
 
+// Graphs that stress the (degree, id) orientation of EdgeTriangleCounts
+// and the sweep of ReverseEdgeIndex: two G(n, m), skewed Chung-Lu (hubs at
+// low ids), a star (one hub, no triangle), a graph with isolated vertices,
+// and a 6-regular circulant where every degree ties and the id alone orders
+// the endpoints.
+std::vector<std::pair<std::string, Graph>> SlotIndexGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("gnm5", ErdosRenyiGnm(40, 120, /*seed=*/5));
+  graphs.emplace_back("gnm11", ErdosRenyiGnm(30, 120, /*seed=*/11));
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    graphs.emplace_back("chunglu" + std::to_string(seed),
+                        ChungLuPowerLaw(3000, 2.1, 20.0, seed));
+  }
+  graphs.emplace_back("star", StarGraph(50));
+  const std::vector<Edge> two_triangles{{1, 3}, {3, 5}, {1, 5}, {5, 8}, {8, 10}, {5, 10}};
+  graphs.emplace_back("isolated", Graph::FromEdges(12, two_triangles));
+  std::vector<Edge> circulant;
+  const Vertex n = 40;
+  for (Vertex i = 0; i < n; ++i) {
+    for (Vertex step : {1u, 2u, 5u}) circulant.emplace_back(i, (i + step) % n);
+  }
+  graphs.emplace_back("regular", Graph::FromEdges(n, circulant));
+  return graphs;
+}
+
 TEST(ReverseEdgeIndexTest, MirrorsAreInvolution) {
-  Graph g = ErdosRenyiGnm(40, 120, /*seed=*/5);
-  auto rev = ReverseEdgeIndex(g);
-  for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    for (uint64_t e = g.EdgeBegin(v); e < g.EdgeEnd(v); ++e) {
-      const uint32_t r = rev[e];
-      EXPECT_EQ(rev[r], e);
-      EXPECT_EQ(g.EdgeTarget(r), v);
+  for (const auto& [name, g] : SlotIndexGraphs()) {
+    const std::vector<uint32_t> rev = ReverseEdgeIndex(g);
+    ASSERT_EQ(rev.size(), 2 * g.NumEdges()) << name;
+    for (Vertex v = 0; v < g.NumVertices(); ++v) {
+      for (uint64_t e = g.EdgeBegin(v); e < g.EdgeEnd(v); ++e) {
+        const uint32_t r = rev[e];
+        ASSERT_EQ(rev[r], e) << name;
+        ASSERT_EQ(g.EdgeTarget(r), v) << name;
+      }
     }
   }
 }
@@ -136,18 +166,23 @@ TEST(TriangleCountsTest, TriangleFreeGraph) {
 }
 
 TEST(TriangleCountsTest, MatchesBruteForceOnRandomGraph) {
-  Graph g = ErdosRenyiGnm(30, 120, /*seed=*/11);
-  auto delta = EdgeTriangleCounts(g);
-  for (Vertex u = 0; u < g.NumVertices(); ++u) {
-    auto un = g.Neighbors(u);
-    for (size_t i = 0; i < un.size(); ++i) {
-      const Vertex v = un[i];
-      uint32_t expect = 0;
-      for (Vertex w : un) {
-        if (w != v && g.HasEdge(w, v)) ++expect;
+  for (const auto& [name, g] : SlotIndexGraphs()) {
+    const std::vector<uint32_t> delta = EdgeTriangleCounts(g);
+    ASSERT_EQ(delta.size(), 2 * g.NumEdges()) << name;
+    uint64_t total = 0;
+    for (Vertex u = 0; u < g.NumVertices(); ++u) {
+      const auto un = g.Neighbors(u);
+      for (uint64_t e = g.EdgeBegin(u); e < g.EdgeEnd(u); ++e) {
+        const auto vn = g.Neighbors(g.EdgeTarget(e));
+        std::vector<Vertex> common;
+        std::set_intersection(un.begin(), un.end(), vn.begin(), vn.end(),
+                              std::back_inserter(common));
+        ASSERT_EQ(delta[e], common.size())
+            << name << " " << u << "-" << g.EdgeTarget(e);
+        total += common.size();
       }
-      EXPECT_EQ(delta[g.EdgeBegin(u) + i], expect) << u << "-" << v;
     }
+    EXPECT_EQ(CountTriangles(g), total / 6) << name;
   }
 }
 

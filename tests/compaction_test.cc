@@ -2,12 +2,13 @@
 // (mapping stack, worklist renaming, slot order and slot map),
 // byte-identical differential runs (compaction on at several thresholds
 // vs off, kernel snapshots included) for the three compacting solvers,
-// NearLinear equivalence across thread counts, and the O(n + m)
+// the induced-CSR builder and NearLinear across thread counts, and the O(n + m)
 // total-work regression guarding against quadratic re-mapping.
 #include "mis/compaction.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <numeric>
 #include <string>
@@ -301,9 +302,33 @@ TEST(CompactionDifferential, NearLinearCoreOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// NearLinear's parallel pieces (the compact LP and kernel edge builds,
-// the working graph's CSR rebuild) must leave the solution byte-identical
-// at any thread count.
+// NearLinear's parallel pieces (the induced CSRs of its LP input and
+// kernel, the working graph's CSR rebuild) must leave the solution
+// byte-identical at any thread count.
+
+TEST(CompactGraphParallel, ByteIdenticalAcrossThreadCounts) {
+  // Large enough that both passes split into several chunks.
+  const Graph g = ChungLuPowerLaw(30000, 2.5, 8.0, 41);
+  std::vector<uint8_t> keep(g.NumVertices());
+  for (Vertex v = 0; v < g.NumVertices(); ++v) keep[v] = v % 3 != 0;
+  const VertexRenaming ren = BuildRenaming(keep);
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : g.CollectEdges()) {
+    if (keep[u] && keep[v]) edges.emplace_back(ren.to_new[u], ren.to_new[v]);
+  }
+  const Graph expected =
+      Graph::FromEdges(static_cast<Vertex>(ren.kept.size()), edges);
+  ASSERT_GT(expected.NumEdges(), 0u);
+  for (const char* threads : {"1", "8"}) {
+    ScopedThreads pin(threads);
+    const Graph got =
+        BuildCompactGraph(ren, [&g](Vertex v) { return g.Neighbors(v); });
+    EXPECT_TRUE(std::ranges::equal(got.RawOffsets(), expected.RawOffsets()))
+        << threads;
+    EXPECT_TRUE(std::ranges::equal(got.RawNeighbors(), expected.RawNeighbors()))
+        << threads;
+  }
+}
 
 TEST(ParallelDominance, NearLinearEndToEndAcrossThreadCounts) {
   const Graph g = ChungLuPowerLaw(10000, 2.5, 8.0, 29);

@@ -6,15 +6,10 @@
 #include "obs/obs.h"
 #include "obs/trace.h"
 #include "support/assert.h"
-#include "support/parallel.h"
 
 namespace rpmis {
 
 namespace {
-
-// Below this many kept vertices the parallel fan-out of the CSR rebuild
-// costs more than the fill (same grain as mis/compaction.cc).
-constexpr size_t kParallelGrain = 4096;
 
 std::vector<uint32_t> Degrees(const Graph& g) {
   std::vector<uint32_t> deg(g.NumVertices());
@@ -42,58 +37,32 @@ void RemapWorklist(const VertexRenaming& renaming, std::vector<Vertex>* worklist
   worklist->resize(out);
 }
 
-// Rebuilds a CSR restricted to the kept vertices: slots whose target was
-// dropped are discarded, per-vertex slot order is preserved. Filled in
-// parallel over support/parallel (disjoint output slices — byte-identical
-// at any RPMIS_THREADS). `old_slot_to_new`, when non-null, receives the
-// new slot of every old slot (kInvalidVertex if dropped); it requires the
-// old slot count to fit 32 bits.
+// Rebuilds a CSR restricted to the kept vertices (BuildInducedCsr over
+// the CSR's slices). `old_slot_to_new`, when non-null, receives the new
+// slot of every old slot (kInvalidVertex if dropped); it requires the old
+// slot count to fit 32 bits.
 void CompactCsr(const VertexRenaming& renaming, std::span<const uint64_t> offsets,
                 std::span<const Vertex> adj, std::vector<uint64_t>* new_offsets,
                 std::vector<Vertex>* new_adj,
                 std::vector<uint32_t>* old_slot_to_new, CompactionStats* stats) {
-  const size_t new_n = renaming.kept.size();
-  new_offsets->assign(new_n + 1, 0);
-  // Pass 1: surviving-slot counts per kept vertex (independent reads).
-  ParallelChunks(0, new_n, kParallelGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const Vertex v = renaming.kept[i];
-      uint64_t count = 0;
-      for (uint64_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-        if (renaming.to_new[adj[s]] != kInvalidVertex) ++count;
-      }
-      (*new_offsets)[i + 1] = count;
-    }
-  });
-  for (size_t i = 1; i <= new_n; ++i) (*new_offsets)[i] += (*new_offsets)[i - 1];
-  // Pass 2: fill disjoint slices.
-  new_adj->resize((*new_offsets)[new_n]);
   if (old_slot_to_new != nullptr) {
     RPMIS_ASSERT(adj.size() <= static_cast<uint64_t>(kInvalidVertex));
     old_slot_to_new->assign(adj.size(), kInvalidVertex);
   }
-  ParallelChunks(0, new_n, kParallelGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const Vertex v = renaming.kept[i];
-      uint64_t pos = (*new_offsets)[i];
-      for (uint64_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-        const Vertex target = renaming.to_new[adj[s]];
-        if (target == kInvalidVertex) continue;
-        (*new_adj)[pos] = target;
+  BuildInducedCsr(
+      renaming,
+      [&](Vertex v) { return adj.subspan(offsets[v], offsets[v + 1] - offsets[v]); },
+      new_offsets, new_adj, [&](Vertex v, size_t j, uint64_t pos) {
         if (old_slot_to_new != nullptr) {
-          (*old_slot_to_new)[s] = static_cast<uint32_t>(pos);
+          (*old_slot_to_new)[offsets[v] + j] = static_cast<uint32_t>(pos);
         }
-        ++pos;
-      }
-      RPMIS_DASSERT(pos == (*new_offsets)[i + 1]);
-    }
-  });
+      });
   ++stats->compactions;
   stats->vertices_scanned += renaming.to_new.size();
   for (const Vertex v : renaming.kept) {
     stats->slots_scanned += offsets[v + 1] - offsets[v];
   }
-  stats->vertices_kept += new_n;
+  stats->vertices_kept += renaming.kept.size();
   stats->slots_kept += new_adj->size();
 }
 

@@ -1,5 +1,7 @@
 #include "mis/near_linear.h"
 
+#include <ranges>
+
 #include "graph/algorithms.h"
 #include "mis/compaction.h"
 #include "mis/lp_reduction.h"
@@ -26,8 +28,11 @@ bool DominatedBy(const Graph& g, const std::vector<uint8_t>& alive,
     // v dominates u iff N(v) \ {u} ⊆ N(u); only candidates with
     // d(v) <= d(u) can succeed, which bounds the scan by min degrees.
     if (!alive[v] || deg[v] > deg[u]) continue;
+    // Scan N(v) from its high ids down: hubs sit at low ids in the
+    // power-law generators and are nearly always in N(u), so a miss
+    // shows up early. The order cannot change the answer.
     bool ok = true;
-    for (Vertex w : g.Neighbors(v)) {
+    for (const Vertex w : std::views::reverse(g.Neighbors(v))) {
       if (w == u || !alive[w]) continue;
       if (!mark.Contains(w)) {
         ok = false;
@@ -116,14 +121,18 @@ class NearLinearCore {
   void ReplayDeferred() { ReplayDeferredStack(wg_.deferred, sol_->in_set); }
 
  private:
+  // Screens the alive pair (v, x) on v's slot e for fresh dominance.
+  void RescreenSlot(Vertex v, Slot e, Vertex x) {
+    if (wg_.deg[v] >= 1 && delta_[e] == wg_.deg[v] - 1) dominated_.push_back(x);
+    if (wg_.deg[x] >= 1 && delta_[e] == wg_.deg[x] - 1) dominated_.push_back(v);
+  }
+
   // Screens every alive pair (v, x) incident to v for fresh dominance.
   void RescreenVertex(Vertex v) {
     if (!wg_.alive[v]) return;
     for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
       const Vertex x = wg_.At(e);
-      if (!wg_.alive[x]) continue;
-      if (wg_.deg[v] >= 1 && delta_[e] == wg_.deg[v] - 1) dominated_.push_back(x);
-      if (wg_.deg[x] >= 1 && delta_[e] == wg_.deg[x] - 1) dominated_.push_back(v);
+      if (wg_.alive[x]) RescreenSlot(v, e, x);
     }
   }
 
@@ -136,7 +145,8 @@ class NearLinearCore {
       --wg_.active;
     }
     // Degree-one vertices need no explicit worklist: such a vertex
-    // dominates its remaining neighbour, which the rescreen pass enqueues.
+    // dominates its remaining neighbour (δ = 0 = deg − 1 on their edge),
+    // and the caller's rescreen of that edge enqueues the neighbour.
   }
 
   // Deletes x, maintaining degrees, triangle counts and the dominated set.
@@ -152,21 +162,24 @@ class NearLinearCore {
       --wg_.deg[v];
       OnDegreeDecrease(v);
     }
-    // Pass B: every triangle (x, v, w) loses x; decrement δ on (v, w).
+    // Pass B, one sweep per neighbour v: each triangle (x, v, w) loses x,
+    // so δ(v, w) drops (its mirror drops in w's sweep); then v, having
+    // lost a degree, is screened on the same slot (§5 discussion). Only
+    // v's sweep writes v's slots and pass A set every degree, so this
+    // matches a separate rescreen pass push for push.
     mark_.Clear();
     for (Vertex v : scratch_nbrs_) mark_.Insert(v);
     for (Vertex v : scratch_nbrs_) {
       for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
         const Vertex w = wg_.At(e);
-        if (wg_.alive[w] && mark_.Contains(w)) {
+        if (!wg_.alive[w]) continue;
+        if (mark_.Contains(w)) {
           RPMIS_DASSERT(delta_[e] > 0);
-          --delta_[e];  // the mirror decrements when the loop reaches w
+          --delta_[e];
         }
+        RescreenSlot(v, e, w);
       }
     }
-    // Pass C: neighbours lost a degree, so they may newly dominate; their
-    // two-hop neighbours may newly be dominated (§5 discussion).
-    for (Vertex v : scratch_nbrs_) RescreenVertex(v);
   }
 
   // Rewires a's slot holding old_nb to new_nb; returns the slot.

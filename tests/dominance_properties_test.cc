@@ -6,11 +6,18 @@
 //     w, and still after removing u;
 //   * mutual dominance exists (Figure 14) and removing either side is
 //     exact.
+// It also checks OnePassDominance, the prepass that applies the rule once
+// in decreasing-degree order, against a set-based reference.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <set>
 
 #include "exact/brute_force.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "mis/near_linear.h"
 #include "support/random.h"
 
 namespace rpmis {
@@ -142,6 +149,111 @@ TEST(DominanceTest, RemovingDominatedPreservesAlpha) {
           << "removing dominated " << u << " changed alpha, seed " << seed;
     }
   }
+}
+
+// The state OnePassDominance reads and writes, as NearLinear seeds it.
+struct PrepassState {
+  std::vector<uint8_t> alive, in_set;
+  std::vector<uint32_t> deg;
+  uint64_t removed = 0;
+
+  explicit PrepassState(const Graph& g)
+      : alive(g.NumVertices(), 1), in_set(g.NumVertices(), 0), deg(g.NumVertices()) {
+    for (Vertex v = 0; v < g.NumVertices(); ++v) {
+      deg[v] = g.Degree(v);
+      if (deg[v] == 0) in_set[v] = 1;
+    }
+  }
+};
+
+// Reference one-pass dominance: the same decreasing-degree order (ties by
+// id), with N(v) \ {u} ⊆ N(u) checked on alive-neighbour sets.
+PrepassState ReferenceOnePassDominance(const Graph& g) {
+  PrepassState st(g);
+  std::vector<Vertex> order(g.NumVertices());
+  std::iota(order.begin(), order.end(), Vertex{0});
+  std::stable_sort(order.begin(), order.end(), [&g](Vertex a, Vertex b) {
+    return g.Degree(a) > g.Degree(b);
+  });
+  const auto alive_nbrs = [&](Vertex x) {
+    std::set<Vertex> out;
+    for (Vertex y : g.Neighbors(x)) {
+      if (st.alive[y]) out.insert(y);
+    }
+    return out;
+  };
+  for (Vertex u : order) {
+    if (!st.alive[u] || st.deg[u] == 0) continue;
+    const std::set<Vertex> nu = alive_nbrs(u);
+    bool dominated = false;
+    for (Vertex v : nu) {
+      if (st.deg[v] > st.deg[u]) continue;
+      std::set<Vertex> nv = alive_nbrs(v);
+      nv.erase(u);
+      if (std::includes(nu.begin(), nu.end(), nv.begin(), nv.end())) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) continue;
+    ++st.removed;
+    st.alive[u] = 0;
+    for (Vertex x : nu) {
+      if (--st.deg[x] == 0) st.in_set[x] = 1;
+    }
+  }
+  return st;
+}
+
+// Returns the number of removals, so callers can check the case is not vacuous.
+uint64_t ExpectPrepassMatchesReference(const Graph& g, const std::string& label) {
+  PrepassState got(g);
+  got.removed = OnePassDominance(g, got.alive, got.deg, got.in_set);
+  const PrepassState want = ReferenceOnePassDominance(g);
+  EXPECT_EQ(got.removed, want.removed) << label;
+  EXPECT_EQ(got.alive, want.alive) << label;
+  EXPECT_EQ(got.deg, want.deg) << label;
+  EXPECT_EQ(got.in_set, want.in_set) << label;
+  return got.removed;
+}
+
+Graph RandomlyRelabelled(const Graph& g, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Vertex> perm(g.NumVertices());
+  std::iota(perm.begin(), perm.end(), Vertex{0});
+  std::shuffle(perm.begin(), perm.end(), rng);
+  std::vector<Edge> edges;
+  for (const auto& [u, v] : g.CollectEdges()) edges.emplace_back(perm[u], perm[v]);
+  return Graph::FromEdges(g.NumVertices(), edges);
+}
+
+TEST(OnePassDominanceTest, MatchesReferenceOnPowerLaw) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    // Native ids put the hubs first; relabelling breaks the id/degree link.
+    const Graph g = ChungLuPowerLaw(3000, 2.1, 20, seed);
+    const std::string tag = ", seed " + std::to_string(seed);
+    EXPECT_GT(ExpectPrepassMatchesReference(g, "native" + tag), 0u);
+    EXPECT_GT(ExpectPrepassMatchesReference(RandomlyRelabelled(g, seed),
+                                            "relabelled" + tag),
+              0u);
+  }
+}
+
+TEST(OnePassDominanceTest, MatchesReferenceOnGnm) {
+  uint64_t removed = 0;
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    removed += ExpectPrepassMatchesReference(ErdosRenyiGnm(300, 600, seed),
+                                             "gnm, seed " + std::to_string(seed));
+  }
+  EXPECT_GT(removed, 0u);
+}
+
+TEST(OnePassDominanceTest, MatchesReferenceOnStarCliqueAndPath) {
+  // A leaf dominates the star's centre; equal-degree clique vertices
+  // dominate each other until one is left; path ends dominate inwards.
+  EXPECT_EQ(ExpectPrepassMatchesReference(StarGraph(6), "star"), 1u);
+  EXPECT_EQ(ExpectPrepassMatchesReference(CompleteGraph(6), "clique"), 5u);
+  EXPECT_GT(ExpectPrepassMatchesReference(PathGraph(9), "path"), 0u);
 }
 
 }  // namespace

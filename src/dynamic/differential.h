@@ -2,7 +2,7 @@
 //
 // Replays an update stream through a DynamicMisEngine and, in lockstep,
 // through an independent mirror graph (hash-set adjacency — sharing no
-// code with AdjacencyGraph). At every checked step it
+// code with the engine's graph store). At every checked step it
 //
 //   1. audits the engine's internal invariants,
 //   2. cross-checks the engine's graph snapshot against the mirror,

@@ -22,6 +22,179 @@ namespace {
 
 }  // namespace
 
+DynamicMisEngine::OverlayGraph::OverlayGraph(const Graph& base)
+    : base_(base),
+      deleted_(2 * base.NumEdges(), false),
+      head_(base.NumVertices(), kNil),
+      degree_(base.NumVertices()),
+      alive_(base.NumVertices(), 1),
+      alive_count_(base.NumVertices()),
+      alive_edges_(base.NumEdges()) {
+  for (Vertex v = 0; v < base.NumVertices(); ++v) degree_[v] = base.Degree(v);
+}
+
+uint64_t DynamicMisEngine::OverlayGraph::FindBaseSlot(Vertex v, Vertex w) const {
+  if (v >= base_.NumVertices()) return kNoSlot;
+  const std::span<const Vertex> nb = base_.Neighbors(v);
+  const auto it = std::lower_bound(nb.begin(), nb.end(), w);
+  if (it == nb.end() || *it != w) return kNoSlot;
+  return base_.EdgeBegin(v) + static_cast<uint64_t>(it - nb.begin());
+}
+
+void DynamicMisEngine::OverlayGraph::PushInserted(Vertex v, Vertex w) {
+  uint32_t h = free_;
+  if (h != kNil) {
+    free_ = pool_[h].next;
+  } else {
+    RPMIS_ASSERT(pool_.size() < kNil);
+    h = static_cast<uint32_t>(pool_.size());
+    pool_.emplace_back();
+  }
+  pool_[h] = {w, head_[v]};
+  head_[v] = h;
+}
+
+bool DynamicMisEngine::OverlayGraph::EraseInserted(Vertex v, Vertex w) {
+  for (uint32_t* link = &head_[v]; *link != kNil; link = &pool_[*link].next) {
+    const uint32_t h = *link;
+    if (pool_[h].to != w) continue;
+    *link = pool_[h].next;
+    pool_[h].next = free_;
+    free_ = h;
+    return true;
+  }
+  return false;
+}
+
+bool DynamicMisEngine::OverlayGraph::HasEdge(Vertex u, Vertex v) const {
+  if (!alive_[u] || !alive_[v]) return false;
+  if (degree_[u] > degree_[v]) std::swap(u, v);
+  const uint64_t e = FindBaseSlot(u, v);
+  if (e != kNoSlot && !deleted_[e]) return true;
+  for (uint32_t h = head_[u]; h != kNil; h = pool_[h].next) {
+    if (pool_[h].to == v) return true;
+  }
+  return false;
+}
+
+bool DynamicMisEngine::OverlayGraph::InsertEdge(Vertex u, Vertex v) {
+  RPMIS_ASSERT(u < NumVertices() && v < NumVertices() && u != v);
+  for (Vertex x : {u, v}) {
+    if (alive_[x]) continue;
+    // x's own slots were flagged when it died; the slots of its former
+    // neighbours that name x would come back with it, so flag them now.
+    if (x < base_.NumVertices()) {
+      for (Vertex w : base_.Neighbors(x)) deleted_[FindBaseSlot(w, x)] = true;
+    }
+    alive_[x] = 1;
+    ++alive_count_;
+  }
+  if (HasEdge(u, v)) return false;
+  // A deleted base slot stays deleted: the edge re-enters through the
+  // overlay, so it is iterated first, as the newest insertion.
+  PushInserted(u, v);
+  PushInserted(v, u);
+  ++degree_[u];
+  ++degree_[v];
+  ++alive_edges_;
+  return true;
+}
+
+bool DynamicMisEngine::OverlayGraph::RemoveEdge(Vertex u, Vertex v) {
+  RPMIS_ASSERT(u < NumVertices() && v < NumVertices() && u != v);
+  if (!alive_[u] || !alive_[v]) return false;
+  const uint64_t e = FindBaseSlot(u, v);
+  if (e != kNoSlot && !deleted_[e]) {
+    deleted_[e] = true;
+    deleted_[FindBaseSlot(v, u)] = true;
+  } else if (EraseInserted(u, v)) {
+    EraseInserted(v, u);
+  } else {
+    return false;
+  }
+  --degree_[u];
+  --degree_[v];
+  --alive_edges_;
+  return true;
+}
+
+Vertex DynamicMisEngine::OverlayGraph::AddVertex() {
+  const Vertex v = NumVertices();
+  head_.push_back(kNil);
+  degree_.push_back(0);
+  alive_.push_back(1);
+  ++alive_count_;
+  return v;
+}
+
+void DynamicMisEngine::OverlayGraph::RemoveVertex(Vertex v) {
+  RPMIS_ASSERT(IsAlive(v));
+  // The mirror slots stay unflagged: their target is dead now, which
+  // retires them without a search per neighbour.
+  if (v < base_.NumVertices()) {
+    for (uint64_t e = base_.EdgeBegin(v); e < base_.EdgeEnd(v); ++e) {
+      const Vertex w = base_.EdgeTarget(e);
+      if (deleted_[e] || !alive_[w]) continue;
+      deleted_[e] = true;
+      --degree_[w];
+    }
+  }
+  while (head_[v] != kNil) {
+    const Vertex w = pool_[head_[v]].to;
+    EraseInserted(v, w);
+    EraseInserted(w, v);
+    --degree_[w];
+  }
+  alive_edges_ -= degree_[v];
+  degree_[v] = 0;
+  alive_[v] = 0;
+  --alive_count_;
+}
+
+Graph DynamicMisEngine::OverlayGraph::Merge() const {
+  const Vertex n = NumVertices();
+  std::vector<uint64_t> offsets(n + 1, 0);
+  for (Vertex v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + degree_[v];
+  std::vector<Vertex> neighbors(offsets[n]);
+  std::vector<Vertex> inserted;
+  for (Vertex v = 0; v < n; ++v) {
+    if (degree_[v] == 0) continue;
+    Vertex* out = neighbors.data() + offsets[v];
+    const std::span<const Vertex> base =
+        v < base_.NumVertices() ? base_.Neighbors(v) : std::span<const Vertex>();
+    const uint64_t first = v < base_.NumVertices() ? base_.EdgeBegin(v) : 0;
+    if (head_[v] == kNil && base.size() == degree_[v]) {
+      std::copy(base.begin(), base.end(), out);  // no slot deleted
+      continue;
+    }
+    // Both sides ascending: the live base slice and the sorted overlay.
+    inserted.clear();
+    for (uint32_t h = head_[v]; h != kNil; h = pool_[h].next) {
+      inserted.push_back(pool_[h].to);
+    }
+    std::sort(inserted.begin(), inserted.end());
+    auto ins = inserted.begin();
+    for (size_t i = 0; i < base.size(); ++i) {
+      if (deleted_[first + i] || !alive_[base[i]]) continue;
+      while (ins != inserted.end() && *ins < base[i]) *out++ = *ins++;
+      *out++ = base[i];
+    }
+    out = std::copy(ins, inserted.end(), out);
+    RPMIS_DASSERT(out == neighbors.data() + offsets[v + 1]);
+  }
+  return Graph::FromCsr(std::move(offsets), std::move(neighbors));
+}
+
+void DynamicMisEngine::OverlayGraph::Rebase(Graph merged) {
+  RPMIS_ASSERT(merged.NumVertices() == NumVertices() &&
+               merged.NumEdges() == alive_edges_);
+  base_ = std::move(merged);
+  deleted_.assign(2 * base_.NumEdges(), false);
+  head_.assign(NumVertices(), kNil);
+  pool_.clear();
+  free_ = kNil;
+}
+
 DynamicMisEngine::DynamicMisEngine(const Graph& g, const DynamicPolicy& policy)
     : policy_(policy), adj_(g) {
   LinearTimeOptions opt;
@@ -93,6 +266,9 @@ void DynamicMisEngine::ApplyInsertEdge(Vertex u, Vertex v, UpdateOutcome& out) {
   // no exclusion reasons unless the new edge supplies one.
   if (u_was_dead && IsFree(u)) frontier_.push_back(u);
   if (v_was_dead && IsFree(v)) frontier_.push_back(v);
+  // Reviving one or both endpoints adds a vertex, or two adjacent ones:
+  // α rises by at most one. Joining two alive vertices never raises it.
+  if (u_was_dead || v_was_dead) ++upper_;
   (void)out;
 }
 
@@ -125,13 +301,19 @@ void DynamicMisEngine::ApplyInsertVertex(std::span<const Vertex> neighbors,
   ++stats_.insert_vertices;
   const Vertex id = adj_.AddVertex();
   GrowUniverse();
+  uint64_t revived = 0;
   for (Vertex w : neighbors) {
     const bool w_was_dead = !adj_.IsAlive(w);
     if (!adj_.InsertEdge(id, w)) continue;  // duplicate neighbour entry
     if (in_set_[w]) ++in_count_[id];
-    if (w_was_dead && IsFree(w)) frontier_.push_back(w);
+    if (w_was_dead) {
+      ++revived;
+      if (IsFree(w)) frontier_.push_back(w);
+    }
   }
-  ++upper_;  // one more vertex can raise α by at most one
+  // The revived neighbours are adjacent only to the new vertex, so α can
+  // rise by all of them at once; with none revived, by the vertex alone.
+  upper_ += std::max<uint64_t>(1, revived);
   if (IsFree(id)) frontier_.push_back(id);
   (void)out;
 }
@@ -147,7 +329,7 @@ void DynamicMisEngine::ApplyDeleteVertex(Vertex v, UpdateOutcome& out) {
   // Deleting a set member frees the neighbours it was blocking (not
   // counted as an eviction — that counter is for insert-edge conflicts).
   if (in_set_[v]) Evict(v);
-  adj_.RemoveVertex(v, nullptr);
+  adj_.RemoveVertex(v);
   in_count_[v] = 0;  // dead vertices keep no exclusion state
   // α(G - v) <= α(G): upper_ stays valid.
   (void)out;
@@ -351,7 +533,11 @@ void DynamicMisEngine::ForceResolve() {
 
 void DynamicMisEngine::Resolve() {
   obs::TraceSpan span(obs::Trace(), "dynamic.full_resolve");
-  const Graph g = CurrentGraph();
+  Graph g;
+  {
+    obs::TraceSpan merge(obs::Trace(), "dynamic.snapshot");
+    g = adj_.Merge();
+  }
 
   LinearTimeOptions opt;
   opt.peeled = &peeled_;
@@ -372,12 +558,11 @@ void DynamicMisEngine::Resolve() {
   upper_ = sol.size + sol.residual_peeled - dead;
   base_gap_ = upper_ - size_;
   frontier_.clear();
+  adj_.Rebase(std::move(g));
   RebuildInCounts();
 }
 
-Graph DynamicMisEngine::CurrentGraph() const {
-  return Graph::FromEdges(NumVertices(), adj_.CollectAliveEdges());
-}
+Graph DynamicMisEngine::CurrentGraph() const { return adj_.Merge(); }
 
 void DynamicMisEngine::GrowUniverse() {
   const Vertex n = adj_.NumVertices();
@@ -390,10 +575,14 @@ void DynamicMisEngine::GrowUniverse() {
 }
 
 void DynamicMisEngine::RebuildInCounts() {
+  obs::TraceSpan span(obs::Trace(), "dynamic.in_counts");
+  const Graph& g = adj_.Base();
+  RPMIS_DASSERT(g.NumVertices() == NumVertices() &&
+                g.NumEdges() == NumAliveEdges());
   std::fill(in_count_.begin(), in_count_.end(), 0);
-  for (Vertex v = 0; v < NumVertices(); ++v) {
+  for (Vertex v = 0; v < g.NumVertices(); ++v) {
     if (!in_set_[v]) continue;
-    adj_.ForEachNeighbor(v, [&](Vertex w) { ++in_count_[w]; });
+    for (Vertex w : g.Neighbors(v)) ++in_count_[w];
   }
 }
 

@@ -22,9 +22,13 @@
 // monotonically and the work per update is O(cone · deg). When a cone
 // exceeds the policy budget the engine falls back to a scoped re-solve of
 // the touched connected component; a maintained upper bound U on α(G_t)
-// (Theorem 6.1 at the last full solve, +1 per α-increasing update) gates
-// quality drift and forces a full re-solve when the set falls too far
-// behind U.
+// (Theorem 6.1 at the last full solve, raised by every update that can
+// raise α) gates quality drift and forces a full re-solve when the set
+// falls too far behind U.
+//
+// The current graph is the CSR of the last full solve (the input at
+// first) with a deleted flag per slot, plus a per-vertex overlay of the
+// edges inserted since; a full re-solve merges the two into a fresh CSR.
 #ifndef RPMIS_DYNAMIC_ENGINE_H_
 #define RPMIS_DYNAMIC_ENGINE_H_
 
@@ -34,7 +38,6 @@
 #include <vector>
 
 #include "dynamic/update.h"
-#include "graph/adjacency_graph.h"
 #include "graph/graph.h"
 #include "obs/histogram.h"
 #include "support/fast_set.h"
@@ -136,6 +139,84 @@ class DynamicMisEngine {
   void PublishMetrics(obs::MetricsRegistry& metrics) const;
 
  private:
+  // The current graph. The base is an immutable sorted CSR (the input,
+  // then the merge of the last full re-solve) with one deleted flag per
+  // slot; edges inserted since live in a per-vertex overlay list. Every
+  // vertex has a base slice (empty for ids appended after the base was
+  // built). A base slot is live iff its flag is clear and its target is
+  // alive, so deleting a vertex flags only its own slots. ForEachNeighbor
+  // yields the overlay newest-first, then the live base slice from its
+  // highest id down.
+  class OverlayGraph {
+   public:
+    explicit OverlayGraph(const Graph& base);
+
+    Vertex NumVertices() const { return static_cast<Vertex>(degree_.size()); }
+    Vertex NumAliveVertices() const { return alive_count_; }
+    uint64_t NumAliveEdges() const { return alive_edges_; }
+    bool IsAlive(Vertex v) const { return alive_[v] != 0; }
+    uint32_t Degree(Vertex v) const { return degree_[v]; }
+
+    /// The base CSR. Equal to the current graph right after construction
+    /// or Rebase (no overlay, no deleted slot, no appended vertex).
+    const Graph& Base() const { return base_; }
+
+    template <typename Fn>
+    void ForEachNeighbor(Vertex v, Fn fn) const {
+      for (uint32_t h = head_[v]; h != kNil; h = pool_[h].next) fn(pool_[h].to);
+      if (v >= base_.NumVertices()) return;
+      for (uint64_t e = base_.EdgeEnd(v); e-- > base_.EdgeBegin(v);) {
+        const Vertex w = base_.EdgeTarget(e);
+        if (!deleted_[e] && alive_[w]) fn(w);
+      }
+    }
+
+    bool HasEdge(Vertex u, Vertex v) const;
+
+    /// Inserts (u, v), u != v, reviving dead endpoints first. Returns false
+    /// if the edge already exists.
+    bool InsertEdge(Vertex u, Vertex v);
+    /// Removes the edge (u, v) if present; returns whether it was.
+    bool RemoveEdge(Vertex u, Vertex v);
+    /// Appends an isolated alive vertex and returns its id.
+    Vertex AddVertex();
+    /// Removes v and its incident edges; v must be alive.
+    void RemoveVertex(Vertex v);
+
+    /// The current graph as a sorted CSR over [0, NumVertices()), dead
+    /// vertices isolated: one O(n + m) pass over base and overlay.
+    Graph Merge() const;
+    /// Adopts `merged` (a Merge() of this graph) as the new base.
+    void Rebase(Graph merged);
+
+   private:
+    static constexpr uint64_t kNoSlot = static_cast<uint64_t>(-1);
+    static constexpr uint32_t kNil = static_cast<uint32_t>(-1);
+
+    // One inserted neighbour: an entry of a per-vertex singly-linked list
+    // in `pool_`, newest first. Freed entries are chained from free_.
+    struct Inserted {
+      Vertex to;
+      uint32_t next;
+    };
+
+    // Slot of w in v's base slice, or kNoSlot; deleted slots included.
+    uint64_t FindBaseSlot(Vertex v, Vertex w) const;
+    void PushInserted(Vertex v, Vertex w);
+    // Unlinks w from v's inserted list; returns whether it was there.
+    bool EraseInserted(Vertex v, Vertex w);
+
+    Graph base_;
+    std::vector<bool> deleted_;  // per base slot
+    std::vector<uint32_t> head_;  // per vertex: newest inserted entry
+    std::vector<Inserted> pool_;
+    uint32_t free_ = kNil;
+    std::vector<uint32_t> degree_;
+    std::vector<uint8_t> alive_;
+    Vertex alive_count_ = 0;
+    uint64_t alive_edges_ = 0;
+  };
+
   void ApplyInsertEdge(Vertex u, Vertex v, UpdateOutcome& out);
   void ApplyDeleteEdge(Vertex u, Vertex v, UpdateOutcome& out);
   void ApplyInsertVertex(std::span<const Vertex> neighbors, UpdateOutcome& out);
@@ -164,10 +245,11 @@ class DynamicMisEngine {
   void Resolve();
 
   void GrowUniverse();  // sizes per-vertex arrays to adj_.NumVertices()
+  // Recounts in_count_ from scratch; the graph must equal its base.
   void RebuildInCounts();
 
   DynamicPolicy policy_;
-  AdjacencyGraph adj_;
+  OverlayGraph adj_;
 
   std::vector<uint8_t> in_set_;
   std::vector<uint32_t> in_count_;  // selected-neighbour counts

@@ -8,7 +8,6 @@ AdjacencyGraph::AdjacencyGraph(const Graph& g)
     : head_(g.NumVertices(), kNilHalf),
       degree_(g.NumVertices(), 0),
       alive_(g.NumVertices(), 1),
-      alive_count_(g.NumVertices()),
       alive_edges_(g.NumEdges()),
       scratch_(g.NumVertices()) {
   half_.resize(2 * g.NumEdges());
@@ -71,14 +70,11 @@ void AdjacencyGraph::RemoveVertex(Vertex v, std::vector<Vertex>* touched) {
     Unlink(w, half_[h].twin);
     --degree_[w];
     --alive_edges_;
-    free_halves_.push_back(h);
-    free_halves_.push_back(half_[h].twin);
     if (touched != nullptr) touched->push_back(w);
   }
   head_[v] = kNilHalf;
   degree_[v] = 0;
   alive_[v] = 0;
-  --alive_count_;
 }
 
 void AdjacencyGraph::ContractInto(Vertex v, Vertex w, std::vector<Vertex>* touched) {
@@ -97,15 +93,11 @@ void AdjacencyGraph::ContractInto(Vertex v, Vertex w, std::vector<Vertex>* touch
       Unlink(w, half_[h].twin);
       --degree_[w];
       --alive_edges_;
-      free_halves_.push_back(h);
-      free_halves_.push_back(half_[h].twin);
     } else if (scratch_.Contains(x)) {
       // (w, x) already exists: the moved edge would be parallel; drop it.
       Unlink(x, half_[h].twin);
       --degree_[x];
       --alive_edges_;
-      free_halves_.push_back(h);
-      free_halves_.push_back(half_[h].twin);
       if (touched != nullptr) touched->push_back(x);
     } else {
       // Re-point (x, v) to (x, w) and thread (v, x)'s half into w's list.
@@ -118,83 +110,7 @@ void AdjacencyGraph::ContractInto(Vertex v, Vertex w, std::vector<Vertex>* touch
   }
   degree_[v] = 0;
   alive_[v] = 0;
-  --alive_count_;
   if (touched != nullptr) touched->push_back(w);
-}
-
-uint32_t AdjacencyGraph::AllocHalf() {
-  if (!free_halves_.empty()) {
-    const uint32_t h = free_halves_.back();
-    free_halves_.pop_back();
-    return h;
-  }
-  half_.push_back({});
-  return static_cast<uint32_t>(half_.size() - 1);
-}
-
-bool AdjacencyGraph::InsertEdge(Vertex u, Vertex v) {
-  RPMIS_ASSERT(u < NumVertices() && v < NumVertices() && u != v);
-  ReviveVertex(u);
-  ReviveVertex(v);
-  if (HasEdge(u, v)) return false;
-  const uint32_t hu = AllocHalf();
-  const uint32_t hv = AllocHalf();
-  half_[hu] = {v, hv, kNilHalf, kNilHalf};
-  half_[hv] = {u, hu, kNilHalf, kNilHalf};
-  PushFront(u, hu);
-  PushFront(v, hv);
-  ++degree_[u];
-  ++degree_[v];
-  ++alive_edges_;
-  return true;
-}
-
-bool AdjacencyGraph::RemoveEdge(Vertex u, Vertex v) {
-  RPMIS_ASSERT(u < NumVertices() && v < NumVertices() && u != v);
-  if (!IsAlive(u) || !IsAlive(v)) return false;
-  if (degree_[u] > degree_[v]) std::swap(u, v);
-  for (uint32_t h = head_[u]; h != kNilHalf; h = half_[h].next) {
-    if (half_[h].to != v) continue;
-    Unlink(u, h);
-    Unlink(v, half_[h].twin);
-    --degree_[u];
-    --degree_[v];
-    --alive_edges_;
-    free_halves_.push_back(h);
-    free_halves_.push_back(half_[h].twin);
-    return true;
-  }
-  return false;
-}
-
-Vertex AdjacencyGraph::AddVertex() {
-  const Vertex v = NumVertices();
-  head_.push_back(kNilHalf);
-  degree_.push_back(0);
-  alive_.push_back(1);
-  ++alive_count_;
-  scratch_.EnsureUniverse(head_.size());
-  return v;
-}
-
-void AdjacencyGraph::ReviveVertex(Vertex v) {
-  RPMIS_ASSERT(v < NumVertices());
-  if (IsAlive(v)) return;
-  RPMIS_DASSERT(head_[v] == kNilHalf && degree_[v] == 0);
-  alive_[v] = 1;
-  ++alive_count_;
-}
-
-std::vector<Edge> AdjacencyGraph::CollectAliveEdges() const {
-  std::vector<Edge> out;
-  out.reserve(alive_edges_);
-  for (Vertex v = 0; v < NumVertices(); ++v) {
-    if (!IsAlive(v)) continue;
-    ForEachNeighbor(v, [&](Vertex w) {
-      if (v < w) out.emplace_back(v, w);
-    });
-  }
-  return out;
 }
 
 }  // namespace rpmis

@@ -5,9 +5,7 @@
 // a doubly-linked per-vertex list. It supports the two operations BDTwo
 // needs that CSR cannot provide: O(deg) vertex deletion that also unlinks
 // the mirror entries, and vertex contraction (degree-two folding) which can
-// *grow* a neighbourhood. For the dynamic-update engine (src/dynamic) it
-// additionally supports O(deg) single-edge insertion/deletion over a
-// free-list of dead half-edge slots, and vertex-universe growth.
+// *grow* a neighbourhood.
 #ifndef RPMIS_GRAPH_ADJACENCY_GRAPH_H_
 #define RPMIS_GRAPH_ADJACENCY_GRAPH_H_
 
@@ -19,19 +17,13 @@
 
 namespace rpmis {
 
-/// Mutable undirected graph over a growable vertex universe [0, n).
-/// Vertices can be removed and contracted; edges can also be *inserted*:
-/// dead half-edge slots (from removals/contractions) are recycled through
-/// a free list before the pool grows, so a workload that deletes as much
-/// as it inserts stays within the initial 6m + O(n) footprint.
+/// Mutable undirected graph over a fixed vertex universe [0, n) whose
+/// vertices can be removed and contracted.
 class AdjacencyGraph {
  public:
   explicit AdjacencyGraph(const Graph& g);
 
   Vertex NumVertices() const { return static_cast<Vertex>(head_.size()); }
-
-  /// Number of remaining (alive) vertices.
-  Vertex NumAliveVertices() const { return alive_count_; }
 
   /// Number of remaining undirected edges.
   uint64_t NumAliveEdges() const { return alive_edges_; }
@@ -60,26 +52,6 @@ class AdjacencyGraph {
   /// (including w) are appended to `touched`.
   void ContractInto(Vertex v, Vertex w, std::vector<Vertex>* touched);
 
-  /// Inserts the edge (u, v), u != v. Dead endpoints (previously removed
-  /// or contracted away) are revived as isolated vertices first. Returns
-  /// false (and changes nothing beyond the revivals) if the edge already
-  /// exists. O(min(deg(u), deg(v))).
-  bool InsertEdge(Vertex u, Vertex v);
-
-  /// Removes the single edge (u, v) if present; returns whether it was.
-  /// The freed half-edge pair is recycled by later insertions. O(deg).
-  bool RemoveEdge(Vertex u, Vertex v);
-
-  /// Appends a new isolated alive vertex and returns its id.
-  Vertex AddVertex();
-
-  /// Marks a dead vertex alive again (as an isolated vertex). No-op for
-  /// alive vertices.
-  void ReviveVertex(Vertex v);
-
-  /// Snapshot of the remaining graph as an edge list over original ids.
-  std::vector<Edge> CollectAliveEdges() const;
-
  private:
   static constexpr uint32_t kNilHalf = static_cast<uint32_t>(-1);
 
@@ -94,15 +66,11 @@ class AdjacencyGraph {
   void Unlink(Vertex owner, uint32_t h);
   // Pushes half-edge h to the front of `owner`'s list.
   void PushFront(Vertex owner, uint32_t h);
-  // Pops a recycled half-edge slot, or grows the pool.
-  uint32_t AllocHalf();
 
   std::vector<HalfEdge> half_;
-  std::vector<uint32_t> free_halves_;  // dead slots available for reuse
   std::vector<uint32_t> head_;     // first half-edge per vertex (kNilHalf if none)
   std::vector<uint32_t> degree_;
   std::vector<uint8_t> alive_;
-  Vertex alive_count_ = 0;
   uint64_t alive_edges_ = 0;
   FastSet scratch_;
 };

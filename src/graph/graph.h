@@ -4,7 +4,8 @@
 // all vertices live in one flat array of 2m entries plus n+1 offsets, i.e.
 // 2m + O(n) integers. All four Reducing-Peeling algorithms run directly on
 // this structure with tombstone deletion; only BDTwo (which contracts
-// vertices) needs the dynamic AdjacencyGraph.
+// vertices) needs the linked AdjacencyGraph. The dynamic-update engine
+// keeps a Graph as the base of its current graph (src/dynamic/engine.h).
 #ifndef RPMIS_GRAPH_GRAPH_H_
 #define RPMIS_GRAPH_GRAPH_H_
 

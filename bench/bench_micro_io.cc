@@ -1,12 +1,12 @@
 // Ingest micro-benchmark: throughput (MB/s and edges/s) of every graph
-// reader, the legacy-vs-fast edge-list parser ratio, the binary sidecar
-// cache, and the serial-vs-parallel CSR build.
+// reader, the legacy-vs-fast edge-list parser ratio, and the binary
+// sidecar cache.
 //
 // The paper's premise is linear-time MIS on graphs with billions of
 // edges; this bench verifies that loading a Table-2-scale dataset no
 // longer dwarfs the solve time. Default scale is a 10M-edge power-law-ish
-// G(n, m) graph (--fast: 1M edges). Thread count for the parallel stages
-// follows RPMIS_THREADS.
+// G(n, m) graph (--fast: 1M edges). Thread count for the chunked
+// edge-list scan follows RPMIS_THREADS.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -19,7 +19,6 @@
 #include "benchkit/table.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "support/parallel.h"
 #include "support/timer.h"
 
 namespace rpmis::bench {
@@ -59,19 +58,6 @@ Throughput Measure(const std::string& path, int reps,
     best.edges = g.NumEdges();
   }
   return best;
-}
-
-bool SameCsr(const Graph& a, const Graph& b) {
-  if (a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges()) {
-    return false;
-  }
-  for (Vertex v = 0; v < a.NumVertices(); ++v) {
-    if (a.EdgeBegin(v) != b.EdgeBegin(v)) return false;
-    const auto na = a.Neighbors(v);
-    const auto nb = b.Neighbors(v);
-    if (!std::equal(na.begin(), na.end(), nb.begin(), nb.end())) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -166,22 +152,6 @@ int main(int argc, char** argv) {
   std::printf("\nedge-list speedup (legacy / fast): %.2fx %s\n",
               legacy_s / fast_s,
               legacy_s / fast_s >= 5.0 ? "(>= 5x: PASS)" : "(< 5x)");
-
-  // CSR build: serial vs parallel on the same edge multiset, and the
-  // determinism contract (byte-identical CSR regardless of thread count).
-  std::vector<Edge> edges = g.CollectEdges();
-  Timer ts;
-  Graph serial = Graph::FromEdgesSerial(g.NumVertices(), edges);
-  const double serial_s = ts.Seconds();
-  ts.Restart();
-  Graph parallel = Graph::FromEdgesParallel(g.NumVertices(), edges);
-  const double parallel_s = ts.Seconds();
-  std::printf(
-      "\nFromEdges (%llu edges): serial %.0fms, parallel %.0fms "
-      "(%zu threads), CSR identical: %s\n",
-      static_cast<unsigned long long>(edges.size()), serial_s * 1000,
-      parallel_s * 1000, NumThreads(),
-      SameCsr(serial, parallel) ? "yes" : "NO (BUG)");
 
   fs::remove_all(dir);
   return 0;

@@ -1,10 +1,9 @@
 #!/bin/sh
-# Multi-threaded gate for the dynamic-update engine: re-runs the dynamic
-# test binaries with RPMIS_THREADS=8. The engine's own re-solve snapshots
-# are a serial merge of its CSR and insert overlay, but the differential
-# harness's mirror graphs and the from-scratch solves it compares against
-# go through Graph::FromEdges with the parallel CSR build enabled; the
-# maintained set must not change. The
+# Thread-count gate for the dynamic-update engine: re-runs the dynamic
+# test binaries with RPMIS_THREADS=8. Every pass the engine and the
+# differential harness run is serial (the engine's re-solve snapshot, the
+# harness's Graph::FromEdges mirrors and from-scratch solves), so this
+# pins that the maintained set does not depend on the thread count. The
 # single-threaded runs happen in the normal ctest pass; ASan/UBSan
 # coverage comes from scripts/check_sanitize.sh, which builds and runs
 # the full suite — these binaries included — under RPMIS_SANITIZE=address.

@@ -1,12 +1,13 @@
 #!/bin/sh
 # ThreadSanitizer gate for the component-parallel solve path: builds a
 # dedicated tree with RPMIS_SANITIZE=thread and runs the suites that
-# exercise cross-thread code (the parallel component scheduler, the
-# parallel CSR builds — Graph::FromEdges, and BuildInducedCsr behind the
-# working graph's compaction rebuild (Compaction*) and NearLinear's LP
-# input and kernel (CompactGraphParallel) — and the
-# benchkit measurement plumbing) with RPMIS_THREADS=8 so the scheduler
-# genuinely runs multi-threaded under the race detector. Companion to
+# exercise cross-thread code (the parallel component scheduler and the
+# RunParallel fan-out under it, the benchkit measurement plumbing, and the
+# solvers those threads run concurrently) with RPMIS_THREADS=8 so the
+# scheduler genuinely runs multi-threaded under the race detector. The
+# CSR build and the induced-CSR fills (Graph*, Compaction*,
+# CompactGraphParallel) are serial; their suites stay in the filter as
+# the thread-count-invariance checks they are. Companion to
 # scripts/check_sanitize.sh (ASan/UBSan over the full suite).
 set -eu
 

@@ -360,51 +360,42 @@ void DynamicMisEngine::Evict(Vertex v) {
 }
 
 void DynamicMisEngine::Repair(UpdateOutcome& out) {
-  if (frontier_.empty()) {
-    // Still check the drift gate: evictions shrink the set with an empty
-    // cone when the evictee's neighbours all have other IN neighbours.
-    const uint64_t slack = std::max<uint64_t>(
-        policy_.min_slack,
-        static_cast<uint64_t>(policy_.max_gap * static_cast<double>(upper_)));
-    if (upper_ - size_ > base_gap_ + slack) {
-      Resolve();
-      out.full_resolve = true;
-      ++stats_.full_resolves;
+  if (!frontier_.empty()) {
+    // Dedup the frontier and drop entries repaired or re-blocked since
+    // they were queued.
+    std::vector<Vertex> free;
+    seen_.Clear();
+    for (Vertex v : frontier_) {
+      if (!seen_.Contains(v) && IsFree(v)) {
+        seen_.Insert(v);
+        free.push_back(v);
+      }
     }
-    return;
-  }
+    frontier_.clear();
 
-  // Dedup the frontier and drop entries repaired or re-blocked since they
-  // were queued.
-  std::vector<Vertex> free;
-  seen_.Clear();
-  for (Vertex v : frontier_) {
-    if (!seen_.Contains(v) && IsFree(v)) {
-      seen_.Insert(v);
-      free.push_back(v);
-    }
-  }
-  frontier_.clear();
+    out.cone = static_cast<uint32_t>(free.size());
+    stats_.cone_vertices += free.size();
+    stats_.max_cone = std::max<uint64_t>(stats_.max_cone, free.size());
 
-  out.cone = static_cast<uint32_t>(free.size());
-  stats_.cone_vertices += free.size();
-  stats_.max_cone = std::max<uint64_t>(stats_.max_cone, free.size());
-
-  if (!free.empty()) {
-    const uint64_t budget = std::max<uint64_t>(
-        policy_.min_cone,
-        static_cast<uint64_t>(policy_.cone_fraction *
-                              static_cast<double>(adj_.NumAliveVertices())));
-    if (free.size() > budget) {
-      if (auto* t = obs::Trace()) t->Instant("dynamic.component_fallback");
-      ResolveComponent(free);
-      out.component_fallback = true;
-      ++stats_.component_fallbacks;
-    } else {
-      RepairLocally(free);
+    if (!free.empty()) {
+      const uint64_t budget = std::max<uint64_t>(
+          policy_.min_cone,
+          static_cast<uint64_t>(policy_.cone_fraction *
+                                static_cast<double>(adj_.NumAliveVertices())));
+      if (free.size() > budget) {
+        if (auto* t = obs::Trace()) t->Instant("dynamic.component_fallback");
+        ResolveComponent(free);
+        out.component_fallback = true;
+        ++stats_.component_fallbacks;
+      } else {
+        RepairLocally(free);
+      }
     }
   }
 
+  // The drift gate runs even with an empty cone: evictions shrink the set
+  // without freeing anyone when the evictee's neighbours all have other
+  // IN neighbours.
   const uint64_t slack = std::max<uint64_t>(
       policy_.min_slack,
       static_cast<uint64_t>(policy_.max_gap * static_cast<double>(upper_)));

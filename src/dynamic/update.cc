@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -111,18 +112,16 @@ std::vector<GraphUpdate> RandomUpdateStream(const Graph& g, size_t count,
   Rng rng(seed);
 
   // Evolving mirror of the stream's effect: alive vertices (swap-remove
-  // pool), adjacency sets, a key set for O(1) edge-existence checks, and
-  // an edge vector for O(1) uniform edge sampling. Deletions leave stale
-  // entries in the vector; sampling purges them lazily by re-checking the
-  // key set (which IS kept exact, including across vertex deletions).
-  std::vector<Vertex> alive_pool;
-  std::vector<std::unordered_set<Vertex>> adj(g.NumVertices());
-  alive_pool.reserve(g.NumVertices());
-  for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    alive_pool.push_back(v);
-    const auto nbs = g.Neighbors(v);
-    adj[v].insert(nbs.begin(), nbs.end());
-  }
+  // pool), a key set for O(1) edge-existence checks, and an edge vector
+  // for O(1) uniform edge sampling. Deletions leave stale entries in the
+  // vector; sampling purges them lazily by re-checking the key set (which
+  // IS kept exact, including across vertex deletions). Every edge at v
+  // present now is in v's slice of `g` or in added[v], the neighbours
+  // the stream gave v; a vertex delete erases those keys (erasing a key
+  // that is already gone is a no-op).
+  std::vector<Vertex> alive_pool(g.NumVertices());
+  std::iota(alive_pool.begin(), alive_pool.end(), Vertex{0});
+  std::vector<std::vector<Vertex>> added(g.NumVertices());
   std::vector<Edge> edges = g.CollectEdges();
   std::unordered_set<uint64_t> edge_set;
   edge_set.reserve(edges.size() * 2);
@@ -160,8 +159,8 @@ std::vector<GraphUpdate> RandomUpdateStream(const Graph& g, size_t count,
           const Vertex b = sample_alive();
           if (a == b || edge_set.count(EdgeKey(a, b)) != 0) continue;
           edge_set.insert(EdgeKey(a, b));
-          adj[a].insert(b);
-          adj[b].insert(a);
+          added[a].push_back(b);
+          added[b].push_back(a);
           edges.emplace_back(a, b);
           updates.push_back(GraphUpdate::InsertEdge(a, b));
           placed = true;
@@ -178,8 +177,6 @@ std::vector<GraphUpdate> RandomUpdateStream(const Graph& g, size_t count,
           const auto it = edge_set.find(EdgeKey(e.first, e.second));
           if (it == edge_set.end()) continue;  // stale (deleted earlier)
           edge_set.erase(it);
-          adj[e.first].erase(e.second);
-          adj[e.second].erase(e.first);
           updates.push_back(GraphUpdate::DeleteEdge(e.first, e.second));
           removed = true;
         }
@@ -197,13 +194,12 @@ std::vector<GraphUpdate> RandomUpdateStream(const Graph& g, size_t count,
             if (!dup) nbs.push_back(w);
           }
         }
-        const Vertex id = static_cast<Vertex>(adj.size());
-        adj.emplace_back();
+        const Vertex id = static_cast<Vertex>(added.size());
+        added.push_back(nbs);
         alive_pool.push_back(id);
         for (Vertex w : nbs) {
           edge_set.insert(EdgeKey(id, w));
-          adj[id].insert(w);
-          adj[w].insert(id);
+          added[w].push_back(id);
           edges.emplace_back(id, w);
         }
         updates.push_back(GraphUpdate::InsertVertex(std::move(nbs)));
@@ -218,11 +214,11 @@ std::vector<GraphUpdate> RandomUpdateStream(const Graph& g, size_t count,
         // Keep the key set exact so stale `edges` entries stay detectable
         // even if an endpoint is later revived (ids are never reused, but
         // revival through a later insert would otherwise resurrect them).
-        for (Vertex w : adj[v]) {
-          adj[w].erase(v);
-          edge_set.erase(EdgeKey(v, w));
+        if (v < g.NumVertices()) {
+          for (Vertex w : g.Neighbors(v)) edge_set.erase(EdgeKey(v, w));
         }
-        adj[v].clear();
+        for (Vertex w : added[v]) edge_set.erase(EdgeKey(v, w));
+        added[v] = {};
         updates.push_back(GraphUpdate::DeleteVertex(v));
         break;
       }

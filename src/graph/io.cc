@@ -547,28 +547,26 @@ Graph ParseBinary(std::string_view bytes) {
   std::memcpy(neighbors.data(), base + kBinaryHeaderBytes + offsets_bytes,
               neighbor_bytes);
 
-  // Full structural validation (errors name the offending vertex), then
-  // the arrays are adopted as-is — no re-sort, no FromEdges rebuild.
-  constexpr size_t kVertexGrain = 1 << 14;
-  ParallelChunks(0, n, kVertexGrain, [&](size_t vb, size_t ve) {
-    for (size_t v = vb; v < ve; ++v) {
-      if (offsets[v] > offsets[v + 1]) {
-        Fail("corrupt binary offsets at vertex " + std::to_string(v));
+  // Full structural validation (errors name the lowest offending vertex),
+  // then the arrays are adopted as-is — no re-sort, no FromEdges rebuild.
+  // A slice must end inside the neighbour array before any of it is read.
+  for (uint64_t v = 0; v < n; ++v) {
+    if (offsets[v] > offsets[v + 1] || offsets[v + 1] > 2 * m) {
+      Fail("corrupt binary offsets at vertex " + std::to_string(v));
+    }
+    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const Vertex w = neighbors[i];
+      if (w >= n) {
+        Fail("corrupt binary neighbour " + std::to_string(w) +
+             " at vertex " + std::to_string(v));
       }
-      for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-        const Vertex w = neighbors[i];
-        if (w >= n) {
-          Fail("corrupt binary neighbour " + std::to_string(w) +
-               " at vertex " + std::to_string(v));
-        }
-        if (w == v) Fail("binary graph has a self-loop at vertex " + std::to_string(v));
-        if (i > offsets[v] && neighbors[i - 1] >= w) {
-          Fail("binary adjacency list of vertex " + std::to_string(v) +
-               " is not sorted and duplicate-free");
-        }
+      if (w == v) Fail("binary graph has a self-loop at vertex " + std::to_string(v));
+      if (i > offsets[v] && neighbors[i - 1] >= w) {
+        Fail("binary adjacency list of vertex " + std::to_string(v) +
+             " is not sorted and duplicate-free");
       }
     }
-  });
+  }
   // Symmetry in O(m): scanning v in ascending order, the occurrences of a
   // fixed w across adjacency lists arrive in ascending v — so they must
   // consume N(w) front to back exactly. Every entry is consumed once

@@ -12,7 +12,6 @@
 
 #include "graph/graph.h"
 #include "support/assert.h"
-#include "support/parallel.h"
 
 namespace rpmis {
 
@@ -52,45 +51,30 @@ VertexRenaming BuildRenaming(std::span<const uint8_t> keep);
 /// Builds the CSR of the subgraph induced by the kept vertices, in new ids.
 /// `neighbors(v)` yields v's adjacency span in old ids; neighbours that are
 /// not kept are dropped and per-vertex slot order is preserved, so sorted
-/// input slices stay sorted (the renaming is monotone). Counted, then
-/// filled in parallel over disjoint slices: byte-identical at any
-/// RPMIS_THREADS. `on_slot(v, j, pos)` is told that slot j of kept vertex v
-/// landed at new slot pos.
+/// input slices stay sorted (the renaming is monotone). One serial pass
+/// fills offsets and slots together. `on_slot(v, j, pos)` is told that
+/// slot j of kept vertex v landed at new slot pos.
 template <typename Neighbors, typename OnSlot>
 void BuildInducedCsr(const VertexRenaming& renaming, const Neighbors& neighbors,
                      std::vector<uint64_t>* offsets, std::vector<Vertex>* adj,
                      const OnSlot& on_slot) {
-  // Below this many kept vertices the parallel fan-out costs more than the
-  // fill; both passes then run inline.
-  constexpr size_t kParallelGrain = 4096;
   const size_t new_n = renaming.kept.size();
+  uint64_t old_slots = 0;
+  for (const Vertex v : renaming.kept) old_slots += neighbors(v).size();
   offsets->assign(new_n + 1, 0);
-  ParallelChunks(0, new_n, kParallelGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      uint64_t count = 0;
-      for (const Vertex w : neighbors(renaming.kept[i])) {
-        count += renaming.to_new[w] != kInvalidVertex;
-      }
-      (*offsets)[i + 1] = count;
+  adj->clear();
+  adj->reserve(old_slots);  // an upper bound: no reallocation in the fill
+  for (size_t i = 0; i < new_n; ++i) {
+    const Vertex v = renaming.kept[i];
+    const std::span<const Vertex> nbrs = neighbors(v);
+    for (size_t j = 0; j < nbrs.size(); ++j) {
+      const Vertex target = renaming.to_new[nbrs[j]];
+      if (target == kInvalidVertex) continue;
+      on_slot(v, j, adj->size());
+      adj->push_back(target);
     }
-  });
-  for (size_t i = 1; i <= new_n; ++i) (*offsets)[i] += (*offsets)[i - 1];
-  adj->resize((*offsets)[new_n]);
-  ParallelChunks(0, new_n, kParallelGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const Vertex v = renaming.kept[i];
-      const std::span<const Vertex> nbrs = neighbors(v);
-      uint64_t pos = (*offsets)[i];
-      for (size_t j = 0; j < nbrs.size(); ++j) {
-        const Vertex target = renaming.to_new[nbrs[j]];
-        if (target == kInvalidVertex) continue;
-        (*adj)[pos] = target;
-        on_slot(v, j, pos);
-        ++pos;
-      }
-      RPMIS_DASSERT(pos == (*offsets)[i + 1]);
-    }
-  });
+    (*offsets)[i + 1] = adj->size();
+  }
 }
 
 /// The induced subgraph of BuildInducedCsr over sorted adjacencies, adopted

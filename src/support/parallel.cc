@@ -54,23 +54,4 @@ void RunParallel(size_t num_tasks, const std::function<void(size_t)>& task) {
   }
 }
 
-void ParallelChunks(size_t begin, size_t end, size_t min_grain,
-                    const std::function<void(size_t, size_t)>& body) {
-  if (begin >= end) return;
-  const size_t total = end - begin;
-  if (min_grain == 0) min_grain = 1;
-  size_t chunks = std::min(NumThreads(), total / min_grain);
-  if (chunks <= 1) {
-    body(begin, end);
-    return;
-  }
-  const size_t grain = (total + chunks - 1) / chunks;
-  chunks = (total + grain - 1) / grain;
-  RunParallel(chunks, [&](size_t c) {
-    const size_t b = begin + c * grain;
-    const size_t e = b + grain < end ? b + grain : end;
-    body(b, e);
-  });
-}
-
 }  // namespace rpmis

@@ -1,13 +1,18 @@
-// Minimal std::thread fan-out used by the ingest fast path and the
-// parallel CSR build.
+// Minimal std::thread fan-out for the library's two parallel paths: the
+// chunked edge-list scan (graph/io), which beats one thread on a 4-core
+// host, and the component-parallel solve runner (mis/per_component),
+// which ties with it. Every other pass — the CSR build, induced-CSR
+// fills, sidecar validation — is serial: a parallel CSR build lost to
+// one thread, and the serial forms of the others cost at most a few
+// milliseconds (EXPERIMENTS.md, "Serial vs parallel, per site").
 //
-// There is deliberately no persistent thread pool: the helpers here wrap
-// coarse, hundreds-of-milliseconds tasks (parsing a multi-megabyte file,
-// sorting millions of adjacency slices), so the cost of spawning a handful
-// of threads per call is noise, and the library stays free of global
-// mutable state. Thread count comes from the RPMIS_THREADS environment
-// variable when set, so benchmark runs and the serial-vs-parallel
-// equivalence tests can pin it without code changes.
+// There is deliberately no persistent thread pool: RunParallel wraps
+// coarse, tens-of-milliseconds tasks (scanning a megabyte chunk, solving
+// a component), so the cost of spawning a handful of threads per call is
+// noise, and the library stays free of global mutable state. Thread count
+// comes from the RPMIS_THREADS environment variable when set, so
+// benchmark runs and the thread-count equivalence tests can pin it
+// without code changes.
 #ifndef RPMIS_SUPPORT_PARALLEL_H_
 #define RPMIS_SUPPORT_PARALLEL_H_
 
@@ -29,14 +34,6 @@ size_t NumThreads();
 /// exception of the lowest-indexed failing task is rethrown, making error
 /// reporting deterministic regardless of scheduling.
 void RunParallel(size_t num_tasks, const std::function<void(size_t)>& task);
-
-/// Splits [begin, end) into contiguous chunks of at least `min_grain`
-/// items (at most NumThreads() chunks) and runs body(chunk_begin,
-/// chunk_end) for each via RunParallel. Runs body inline when the range
-/// fits a single chunk. `body` must tolerate concurrent invocations on
-/// disjoint ranges.
-void ParallelChunks(size_t begin, size_t end, size_t min_grain,
-                    const std::function<void(size_t, size_t)>& body);
 
 }  // namespace rpmis
 

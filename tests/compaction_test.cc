@@ -302,12 +302,12 @@ TEST(CompactionDifferential, NearLinearCoreOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// NearLinear's parallel pieces (the induced CSRs of its LP input and
-// kernel, the working graph's CSR rebuild) must leave the solution
-// byte-identical at any thread count.
+// The induced CSRs (NearLinear's LP input and kernel, the working graph's
+// CSR rebuild) and NearLinear's solution must not depend on the thread
+// count.
 
 TEST(CompactGraphParallel, ByteIdenticalAcrossThreadCounts) {
-  // Large enough that both passes split into several chunks.
+  // BuildCompactGraph against FromEdges on the same induced edge set.
   const Graph g = ChungLuPowerLaw(30000, 2.5, 8.0, 41);
   std::vector<uint8_t> keep(g.NumVertices());
   for (Vertex v = 0; v < g.NumVertices(); ++v) keep[v] = v % 3 != 0;

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "graph/generators.h"
+#include "support/random.h"
 
 namespace rpmis {
 namespace {
@@ -34,6 +39,56 @@ TEST(GraphTest, DropsSelfLoopsAndDuplicates) {
   EXPECT_EQ(g.Degree(0), 1u);
   EXPECT_EQ(g.Degree(1), 2u);
   EXPECT_EQ(g.Degree(2), 1u);
+}
+
+/// FromEdges must equal the CSR read off a std::set adjacency: offsets and
+/// neighbour array entry for entry.
+void ExpectMatchesSetReference(Vertex n, const std::vector<Edge>& edges) {
+  std::vector<std::set<Vertex>> ref(n);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    ref[u].insert(v);
+    ref[v].insert(u);
+  }
+  std::vector<uint64_t> offsets{0};
+  std::vector<Vertex> neighbors;
+  for (const std::set<Vertex>& nbs : ref) {
+    neighbors.insert(neighbors.end(), nbs.begin(), nbs.end());
+    offsets.push_back(neighbors.size());
+  }
+  const Graph g = Graph::FromEdges(n, edges);
+  EXPECT_TRUE(std::ranges::equal(g.RawOffsets(), offsets)) << "n = " << n;
+  EXPECT_TRUE(std::ranges::equal(g.RawNeighbors(), neighbors)) << "n = " << n;
+}
+
+/// Random edges with duplicates in both orientations and self-loops mixed
+/// in; vertices no edge touches stay isolated.
+std::vector<Edge> MessyRandomEdges(Vertex n, size_t m, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> edges;
+  for (size_t i = 0; i < m; ++i) {
+    const auto u = static_cast<Vertex>(rng.NextBounded(n));
+    const auto v = static_cast<Vertex>(rng.NextBounded(n));
+    edges.emplace_back(u, v);
+    if (i % 5 == 0) edges.emplace_back(v, u);   // reversed duplicate
+    if (i % 7 == 0) edges.emplace_back(u, v);   // same-way duplicate
+    if (i % 11 == 0) edges.emplace_back(u, u);  // self-loop
+  }
+  return edges;
+}
+
+TEST(GraphTest, FromEdgesMatchesSetReferenceOnMessyInput) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    ExpectMatchesSetReference(2000, MessyRandomEdges(2000, 60000, seed));
+    // Few vertices, many edges: nearly every entry is a duplicate.
+    ExpectMatchesSetReference(6, MessyRandomEdges(6, 500, seed));
+    // Sparse: most vertices stay isolated.
+    ExpectMatchesSetReference(5000, MessyRandomEdges(5000, 300, seed));
+  }
+  ExpectMatchesSetReference(0, {});
+  ExpectMatchesSetReference(10, {{3, 7}});
+  // Only self-loops: no edge survives, every vertex is isolated.
+  ExpectMatchesSetReference(4, {{1, 1}, {2, 2}, {1, 1}});
 }
 
 TEST(GraphTest, NeighborsAreSorted) {

@@ -356,6 +356,40 @@ TEST(IoTest, BinaryRejectsStructuralCorruption) {
             std::string::npos);
 }
 
+TEST(IoTest, BinaryRejectsSliceEndPastNeighbourArray) {
+  // offsets[n] == 2m holds, but vertex 0's slice claims 1000 entries of a
+  // 2-entry array; the check must fire before any of it is read.
+  EXPECT_NE(CaptureError([&] {
+              ReadRaw(RawBinary(3, 1, {0, 1000, 1001, 2}, {1, 2}));
+            }).find("offsets at vertex 0"),
+            std::string::npos);
+}
+
+TEST(IoTest, BinaryCorruptionErrorNamesLowestVertex) {
+  // Two corruptions far apart in a sidecar with n >= 2^16 (large enough
+  // for a chunked check to split it), at one and at four threads: the
+  // error names the lower vertex either way.
+  constexpr Vertex kN = 70000;
+  std::stringstream buf;
+  WriteBinary(CycleGraph(kN), buf);
+  std::string payload = buf.str();
+  // Vertex v's slice of the cycle is {v - 1, v + 1} at slots 2v, 2v + 1.
+  const size_t neighbors_at = 24 + (size_t{kN} + 1) * sizeof(uint64_t);
+  const auto put_slot = [&](uint64_t slot, uint32_t value) {
+    std::memcpy(payload.data() + neighbors_at + slot * sizeof(uint32_t),
+                &value, sizeof(value));
+  };
+  put_slot(2 * 100, 5000000);        // out-of-range neighbour at vertex 100
+  put_slot(2 * 69000 + 1, 69000);    // self-loop at vertex 69000
+  for (const char* threads : {"1", "4"}) {
+    setenv("RPMIS_THREADS", threads, 1);
+    const std::string msg = CaptureError([&] { ReadRaw(payload); });
+    EXPECT_NE(msg.find("neighbour 5000000 at vertex 100"), std::string::npos)
+        << threads << ": " << msg;
+  }
+  unsetenv("RPMIS_THREADS");
+}
+
 // ---- LoadGraphFile: format sniffing + sidecar cache ----------------------
 
 TEST(IoTest, GuessGraphFormatByExtension) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,12 +76,10 @@ TEST(UpdateStreamTest, FormatParseRoundTrip) {
 }
 
 // Replays a random stream against a reference model and checks every
-// update's stated precondition holds at its point in the stream.
-TEST(UpdateStreamTest, RandomStreamIsValidByConstruction) {
-  const Graph g = ErdosRenyiGnp(60, 0.08, /*seed=*/5);
-  const auto updates = RandomUpdateStream(g, 400, /*seed=*/17);
-  ASSERT_EQ(updates.size(), 400u);
-
+// update's stated precondition holds at its point in the stream;
+// `seen_kinds` counts the updates of each kind.
+void ReplayAndCheck(const Graph& g, const std::vector<GraphUpdate>& updates,
+                    std::array<size_t, 4>* seen_kinds) {
   std::vector<std::vector<uint8_t>> adj(
       g.NumVertices(), std::vector<uint8_t>(g.NumVertices(), 0));
   const auto has = [&](Vertex a, Vertex b) { return adj[a][b] != 0; };
@@ -92,9 +91,9 @@ TEST(UpdateStreamTest, RandomStreamIsValidByConstruction) {
   }
   std::vector<uint8_t> alive(g.NumVertices(), 1);
 
-  size_t seen_kinds[4] = {0, 0, 0, 0};
+  *seen_kinds = {};
   for (const GraphUpdate& u : updates) {
-    ++seen_kinds[static_cast<int>(u.kind)];
+    ++(*seen_kinds)[static_cast<int>(u.kind)];
     switch (u.kind) {
       case UpdateKind::kInsertEdge:
         ASSERT_TRUE(alive[u.u] && alive[u.v]);
@@ -125,11 +124,34 @@ TEST(UpdateStreamTest, RandomStreamIsValidByConstruction) {
         break;
     }
   }
+}
+
+TEST(UpdateStreamTest, RandomStreamIsValidByConstruction) {
+  const Graph g = ErdosRenyiGnp(60, 0.08, /*seed=*/5);
+  const auto updates = RandomUpdateStream(g, 400, /*seed=*/17);
+  ASSERT_EQ(updates.size(), 400u);
+  std::array<size_t, 4> seen_kinds;
+  ASSERT_NO_FATAL_FAILURE(ReplayAndCheck(g, updates, &seen_kinds));
   // The default weights exercise every operation kind on a graph this size.
   EXPECT_GT(seen_kinds[0], 0u);
   EXPECT_GT(seen_kinds[1], 0u);
   EXPECT_GT(seen_kinds[2], 0u);
   EXPECT_GT(seen_kinds[3], 0u);
+
+  // Vertex-delete-heavy: most of the graph dies, inserted vertices and
+  // edges included, so later edge deletes must skip every edge a vertex
+  // delete took with it.
+  StreamOptions heavy;
+  heavy.delete_vertex_weight = 3.0;
+  heavy.insert_vertex_weight = 1.0;
+  heavy.max_new_vertex_degree = 8;
+  const auto churn = RandomUpdateStream(g, 300, /*seed=*/23, heavy);
+  ASSERT_EQ(churn.size(), 300u);
+  std::array<size_t, 4> churn_kinds;
+  ASSERT_NO_FATAL_FAILURE(ReplayAndCheck(g, churn, &churn_kinds));
+  EXPECT_GT(churn_kinds[static_cast<int>(UpdateKind::kDeleteVertex)],
+            churn_kinds[static_cast<int>(UpdateKind::kDeleteEdge)]);
+  EXPECT_GT(churn_kinds[static_cast<int>(UpdateKind::kInsertVertex)], 0u);
 }
 
 TEST(UpdateStreamTest, RandomStreamIsDeterministic) {

@@ -1,5 +1,6 @@
 #include "mis/near_linear.h"
 
+#include <algorithm>
 #include <ranges>
 
 #include "graph/algorithms.h"
@@ -100,6 +101,7 @@ class NearLinearCore {
     obs::TraceSpan span(obs::Trace(), "nearlinear.triangles");
     rev_ = ReverseEdgeIndex(kg);  // throws if 2m does not fit a Slot
     delta_ = EdgeTriangleCounts(kg, rev_);
+    RecountSweepFilters();
     // Initial worklists. Dominated set: u dominates v  =>  v is dominated.
     for (Vertex u = 0; u < kg.NumVertices(); ++u) {
       if (wg_.deg[u] == 2) v2_.push_back(u);
@@ -127,18 +129,72 @@ class NearLinearCore {
     if (wg_.deg[x] >= 1 && delta_[e] == wg_.deg[x] - 1) dominated_.push_back(v);
   }
 
-  // Screens every alive pair (v, x) incident to v for fresh dominance.
+  // Screens every alive pair (v, x) incident to v for fresh dominance and
+  // refreshes v's triangle flag from the counts it read.
   void RescreenVertex(Vertex v) {
     if (!wg_.alive[v]) return;
+    bool in_triangle = false;
     for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
       const Vertex x = wg_.At(e);
-      if (wg_.alive[x]) RescreenSlot(v, e, x);
+      if (!wg_.alive[x]) continue;
+      RescreenSlot(v, e, x);
+      in_triangle |= delta_[e] > 0;
     }
+    in_triangle_[v] = in_triangle;
+  }
+
+  // Recomputes both sweep filters in O(n + m): δ is read in slot order,
+  // and each degree-one vertex credits its neighbour. A dead slot may
+  // only raise in_triangle_, which is an upper bound.
+  void RecountSweepFilters() {
+    in_triangle_.assign(wg_.NumVertices(), 0);
+    pendants_.assign(wg_.NumVertices(), 0);
+    for (Vertex v = 0; v < wg_.NumVertices(); ++v) {
+      if (!wg_.alive[v]) continue;
+      in_triangle_[v] = std::any_of(delta_.begin() + wg_.Begin(v),
+                                    delta_.begin() + wg_.End(v),
+                                    [](uint32_t d) { return d > 0; });
+      if (wg_.deg[v] == 1) ++pendants_[wg_.FirstAliveNeighbor(v)];
+    }
+  }
+
+  // Pass B may skip v's sweep when v lies in no triangle, has degree >= 2
+  // and no degree-one neighbour: with every δ(v,·) = 0, no slot of v
+  // holds a neighbour of the deleted vertex (that would be a triangle),
+  // δ = d(v) - 1 needs d(v) = 1 and δ = d(w) - 1 needs d(w) = 1.
+  bool CanSkipSweep(Vertex v) const {
+    return !in_triangle_[v] && wg_.deg[v] >= 2 && pendants_[v] == 0;
+  }
+
+  // Debug checks of the filters: pendants_[v] matches a recount, and a
+  // skipped sweep would have decremented nothing and pushed nothing.
+  bool PendantCountIsExact(Vertex v) const {
+    uint32_t pendants = 0;
+    for (const Vertex w : wg_.Neighbors(v)) {
+      pendants += wg_.alive[w] && wg_.deg[w] == 1;
+    }
+    return pendants == pendants_[v];
+  }
+
+  bool SkippedSweepIsNoOp(Vertex v) const {
+    for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
+      const Vertex w = wg_.At(e);
+      if (!wg_.alive[w]) continue;
+      if (mark_.Contains(w) || delta_[e] == wg_.deg[v] - 1 ||
+          delta_[e] == wg_.deg[w] - 1) {
+        return false;
+      }
+    }
+    return true;
   }
 
   void OnDegreeDecrease(Vertex w) {
     if (wg_.deg[w] == 2) {
       v2_.push_back(w);
+    } else if (wg_.deg[w] == 1) {
+      const Vertex u = wg_.FirstAliveNeighbor(w);
+      RPMIS_DASSERT(u != kInvalidVertex);
+      ++pendants_[u];
     } else if (wg_.deg[w] == 0) {
       sol_->in_set[wg_.to_orig[w]] = 1;
       ++in_count_;
@@ -154,11 +210,14 @@ class NearLinearCore {
     RPMIS_DASSERT(wg_.alive[x]);
     wg_.alive[x] = 0;
     if (wg_.deg[x] > 0) --wg_.active;
-    // Pass A: collect alive neighbours, update degrees.
+    // Pass A: collect alive neighbours, update degrees. A degree-one x
+    // leaves its one neighbour's pendant count.
+    const uint32_t was_pendant = wg_.deg[x] == 1;
     scratch_nbrs_.clear();
     for (const Vertex v : wg_.Neighbors(x)) {
       if (!wg_.alive[v]) continue;
       scratch_nbrs_.push_back(v);
+      pendants_[v] -= was_pendant;
       --wg_.deg[v];
       OnDegreeDecrease(v);
     }
@@ -166,10 +225,17 @@ class NearLinearCore {
     // so δ(v, w) drops (its mirror drops in w's sweep); then v, having
     // lost a degree, is screened on the same slot (§5 discussion). Only
     // v's sweep writes v's slots and pass A set every degree, so this
-    // matches a separate rescreen pass push for push.
+    // matches a separate rescreen pass push for push. A sweep that
+    // CanSkipSweep proves empty is skipped.
     mark_.Clear();
     for (Vertex v : scratch_nbrs_) mark_.Insert(v);
     for (Vertex v : scratch_nbrs_) {
+      RPMIS_DASSERT(PendantCountIsExact(v));
+      if (CanSkipSweep(v)) {
+        RPMIS_DASSERT(SkippedSweepIsNoOp(v));
+        continue;
+      }
+      bool in_triangle = false;
       for (Slot e = wg_.Begin(v); e < wg_.End(v); ++e) {
         const Vertex w = wg_.At(e);
         if (!wg_.alive[w]) continue;
@@ -178,7 +244,9 @@ class NearLinearCore {
           --delta_[e];
         }
         RescreenSlot(v, e, w);
+        in_triangle |= delta_[e] > 0;
       }
+      in_triangle_[v] = in_triangle;
     }
   }
 
@@ -196,6 +264,11 @@ class NearLinearCore {
   WorkingGraph wg_;
   std::vector<uint32_t> delta_;  // per slot: triangles through the edge
   std::vector<Slot> rev_;        // per slot: the reverse slot
+  // Sweep filters (DESIGN.md §3). in_triangle_ is an upper bound: 0 means
+  // every alive slot of the vertex has δ = 0. pendants_ is exact: the
+  // number of alive degree-one neighbours.
+  std::vector<uint8_t> in_triangle_;
+  std::vector<uint32_t> pendants_;
   std::vector<Vertex> v2_;
   std::vector<Vertex> dominated_;
   std::vector<Vertex> scratch_nbrs_;
@@ -257,6 +330,8 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
     delta_[e2] = 0;
     rev_[e1] = e2;
     rev_[e2] = e1;
+    // A degree-one w moves from v_l to v_1.
+    if (wg_.deg[w] == 1) ++pendants_[path[0]];
     // Degrees of v_1 and w unchanged; no dominance can newly arise
     // (both endpoints of the fresh edge keep δ = 0 < deg - 1).
     return;
@@ -280,6 +355,9 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
     const Slot e2 = Rewire(w, path[l - 1], v);
     rev_[e1] = e2;
     rev_[e2] = e1;
+    // A degree-one attachment becomes a pendant of the other one.
+    if (wg_.deg[v] == 1) ++pendants_[w];
+    if (wg_.deg[w] == 1) ++pendants_[v];
     mark_.Clear();
     for (const Vertex x : wg_.Neighbors(w)) {
       if (wg_.alive[x]) mark_.Insert(x);
@@ -292,6 +370,7 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
       ++common;
       ++delta_[e];
       ++delta_[rev_[e]];
+      in_triangle_[x] = 1;
       mark2_.Insert(x);
     }
     for (Slot e = wg_.Begin(w); e < wg_.End(w); ++e) {
@@ -303,14 +382,14 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
     }
     delta_[e1] = common;
     delta_[e2] = common;
-    RescreenVertex(v);
+    RescreenVertex(v);  // also refreshes the triangle flags of v and w
     RescreenVertex(w);
   }
 }
 
 // Lets the working graph rebuild itself, then carries the per-slot δ and
 // reverse links over: a slot survives iff its owner and target survive,
-// so its reverse slot survives too.
+// so its reverse slot survives too. The sweep filters are recounted.
 void NearLinearCore::MaybeCompact() {
   std::vector<uint32_t> slot_map;
   if (!wg_.MaybeCompact({&v2_, &dominated_}, &slot_map)) return;
@@ -325,6 +404,7 @@ void NearLinearCore::MaybeCompact() {
   rev_ = std::move(new_rev);
   mark_.Resize(wg_.NumVertices());
   mark2_.Resize(wg_.NumVertices());
+  RecountSweepFilters();  // geometric rebuilds: O(n + m) in total
 }
 
 void NearLinearCore::Run(KernelSnapshot* capture) {

@@ -4,8 +4,10 @@
 // δ(u,v) = d(u) - 1).
 //
 // O(m·Δ) worst case, 4m + O(n) space (adjacency copy + triangle counts +
-// reverse-edge index). Two prepasses shrink Δ and the instance before the
-// main loop, as in §5:
+// reverse-edge index). A deletion sweeps the slots of each alive
+// neighbour, which is where the Δ comes from, except that a neighbour in
+// no triangle and with no degree-one neighbour costs O(1) (DESIGN.md §3).
+// Two prepasses shrink Δ and the instance before the main loop, as in §5:
 //   1. one-pass dominance in decreasing-degree order, O(m·a(G));
 //   2. the Nemhauser–Trotter LP reduction, O(m√n).
 // Both are exact and both can be disabled for ablation.

@@ -4,6 +4,9 @@
 // the lemma's statements.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "exact/brute_force.h"
 #include "graph/generators.h"
 #include "mis/linear_time.h"
@@ -157,6 +160,72 @@ TEST(PathReductionCases, SingletonDismissalIsNotForgotten) {
   // reductions re-expose it.
   Graph g = PathBetweenAnchors(1, /*vw_edge=*/false);
   ExpectExact(g, "singleton");
+}
+
+// NearLinear's sweep filters (DESIGN.md §3) on graphs built so that a
+// path reduction changes them and a later deletion depends on them. Both
+// prepasses are off, so the main loop meets the graph as built. The body
+// is K_{3,3} on {0,1,2} x {3,4,5}, which is triangle-free, and vertex 6
+// sits on a path between two adjacent vertices. The degree-two worklist
+// pops the highest id first, so the path under test (ids 7 and up) is
+// reduced first; case 2 on vertex 6 then deletes its two neighbours, and
+// their neighbours are swept. The selectors were recorded before the
+// sweep skip existed.
+struct FilterCase {
+  MisSolution sol;
+  std::vector<Vertex> selected;
+};
+
+FilterCase RunFilterCase(Vertex n, std::vector<std::pair<Vertex, Vertex>> edges) {
+  GraphBuilder b(n);
+  for (Vertex i = 0; i < 3; ++i) {
+    for (Vertex j = 3; j < 6; ++j) b.AddEdge(i, j);
+  }
+  for (const auto& [x, y] : edges) b.AddEdge(x, y);
+  const Graph g = b.Build();
+  NearLinearOptions options;
+  options.one_pass_dominance = false;
+  options.lp_reduction = false;
+  FilterCase out{RunNearLinear(g, nullptr, options), {}};
+  EXPECT_TRUE(VerifyMis(g, out.sol.in_set));
+  for (Vertex v = 0; v < n; ++v) {
+    if (out.sol.in_set[v]) out.selected.push_back(v);
+  }
+  return out;
+}
+
+TEST(PathReductionCases, NearLinearCase5DegreeOneAttachment) {
+  // Leaf 7, path 8-9, attachment 10 (adjacent to 0 and 1): case 5 joins
+  // the leaf to 10, which gains a pendant. Deleting 0 must then sweep 10,
+  // because the leaf dominates it.
+  const FilterCase c =
+      RunFilterCase(11, {{0, 6}, {6, 3}, {7, 8}, {8, 9}, {9, 10}, {10, 0}, {10, 1}});
+  EXPECT_EQ(c.sol.rules.degree_two_path, 3u);
+  EXPECT_EQ(c.selected, (std::vector<Vertex>{4, 5, 6, 7, 9}));
+}
+
+TEST(PathReductionCases, NearLinearCase4ThenDegreeOneAttachment) {
+  // Path 8-9 between the adjacent 7 and 10: case 4 drops both to degree
+  // two (an attachment has degree >= 3 before case 4, so it cannot leave
+  // one at degree one). The next walk runs 7-10 from leaf 11 to 12, and
+  // case 5 gives 12 a pendant; deleting 0 must then sweep 12.
+  const FilterCase c = RunFilterCase(
+      13, {{0, 6}, {6, 3}, {7, 8}, {8, 9}, {9, 10}, {7, 10}, {7, 11}, {10, 12},
+           {12, 0}, {12, 1}});
+  EXPECT_EQ(c.sol.rules.degree_two_path, 4u);
+  EXPECT_EQ(c.selected, (std::vector<Vertex>{4, 5, 6, 8, 10, 11}));
+}
+
+TEST(PathReductionCases, NearLinearCase5ClosesSweptTriangle) {
+  // Path 8-9 between 7 and 10, which share neighbour 11: case 5 closes
+  // the triangle (7, 10, 11) in a triangle-free graph. Vertex 6 sits
+  // between 7 and 3, so case 2 deletes 7, and that deletion must sweep 11
+  // to drop δ(11, 10) back to zero.
+  const FilterCase c = RunFilterCase(
+      12, {{7, 6}, {6, 3}, {7, 8}, {8, 9}, {9, 10}, {7, 11}, {10, 11}, {7, 3},
+           {10, 4}, {11, 0}, {11, 1}});
+  EXPECT_EQ(c.sol.rules.degree_two_path, 2u);
+  EXPECT_EQ(c.selected, (std::vector<Vertex>{0, 1, 2, 6, 8, 10}));
 }
 
 }  // namespace

@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "benchkit/stats.h"
 #include "dynamic/engine.h"
 #include "dynamic/update.h"
 #include "graph/generators.h"
 #include "mis/linear_time.h"
 #include "mis/verify.h"
+#include "obs/metrics.h"
 #include "support/parallel.h"
 #include "support/timer.h"
 
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
 
   std::printf("engine: init %.3fs, %zu updates in %.3fs (%.1fus/update)\n",
               init_seconds, updates.size(), apply_seconds, per_update * 1e6);
-  std::printf("%s", FormatDynamicStats(engine.stats()).c_str());
+  std::printf("%s", obs::FormatMetrics(run.record().metrics).c_str());
 
   // Validity + quality of the final maintained set versus a from-scratch
   // solve of the final graph (alive-induced: edge-only streams keep every

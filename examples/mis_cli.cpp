@@ -24,7 +24,6 @@
 #include "baselines/greedy.h"
 #include "baselines/semi_external.h"
 #include "benchkit/obs_session.h"
-#include "benchkit/stats.h"
 #include "dynamic/engine.h"
 #include "dynamic/update.h"
 #include "exact/vc_solver.h"
@@ -35,6 +34,7 @@
 #include "mis/linear_time.h"
 #include "mis/near_linear.h"
 #include "mis/verify.h"
+#include "obs/metrics.h"
 #include "support/timer.h"
 
 using namespace rpmis;
@@ -85,8 +85,10 @@ int Usage() {
          "               [--per-component]   (bdone/bdtwo/lineartime/nearlinear:\n"
          "                solve connected components independently, in parallel\n"
          "                across RPMIS_THREADS workers)\n"
-         "               [--stats]           (print per-run reduction/compaction\n"
-         "                counters; bdone/bdtwo/lineartime/nearlinear only)\n"
+         "               [--stats]           (print the run's metrics on stderr,\n"
+         "                one `name value` line each — the snapshot --metrics\n"
+         "                writes; bdone/bdtwo/lineartime/nearlinear and\n"
+         "                --updates only)\n"
          "               [--no-compaction] [--compaction-threshold=F]\n"
          "                (bdone/lineartime/nearlinear only: mid-run alive-\n"
          "                subgraph rebuilds; F in (0,1], rebuild when active\n"
@@ -179,7 +181,6 @@ int RunDynamicMode(ObsSession& obs, const Graph& g, const std::string& path,
             << engine.UpperBound() << ") after " << updates.size()
             << " updates; solve " << solve_seconds << "s, apply "
             << apply_seconds << "s\n";
-  if (want_stats) std::cerr << FormatDynamicStats(engine.stats());
 
   engine.PublishMetrics(run.metrics());
   run.NoteSeconds(solve_seconds + apply_seconds);
@@ -190,6 +191,7 @@ int RunDynamicMode(ObsSession& obs, const Graph& g, const std::string& path,
   run.record().AddNumber("solution.final_size",
                          static_cast<double>(engine.Size()));
   run.Commit();
+  if (want_stats) std::cerr << obs::FormatMetrics(run.record().metrics);
   return EmitSolution(out_path, engine.Selector());
 }
 
@@ -262,9 +264,7 @@ int main(int argc, char** argv) {
   Timer timer;
   std::vector<uint8_t> in_set;
   std::string certificate;
-  std::string stats_report;
   const auto take = [&](MisSolution sol) {
-    if (want_stats) stats_report = FormatSolverStats(sol);
     run.NoteSolution(sol);
     in_set = std::move(sol.in_set);
   };
@@ -336,10 +336,10 @@ int main(int argc, char** argv) {
   if (!certificate.empty()) std::cerr << " [" << certificate << "]";
   std::cerr << "\n";
   if (want_stats) {
-    if (stats_report.empty()) {
+    if (run.record().metrics.empty()) {
       std::cerr << "(--stats: no counters for --algo=" << algo << ")\n";
     } else {
-      std::cerr << stats_report;
+      std::cerr << obs::FormatMetrics(run.record().metrics);
     }
   }
 

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "benchkit/stats.h"
-
 namespace rpmis {
 
 namespace {
@@ -111,7 +109,7 @@ ObsSession::Run::Run(ObsSession* session, std::string algorithm,
 ObsSession::Run::~Run() { Commit(); }
 
 void ObsSession::Run::NoteSolution(const MisSolution& sol) {
-  PublishSolutionMetrics(sol, &metrics_);
+  sol.PublishMetrics(metrics_);
   record_.AddNumber("solution.size", static_cast<double>(sol.size));
   record_.AddNumber("solution.upper_bound",
                     static_cast<double>(sol.UpperBound()));

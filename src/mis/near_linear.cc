@@ -330,10 +330,13 @@ void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
     delta_[e2] = 0;
     rev_[e1] = e2;
     rev_[e2] = e1;
-    // A degree-one w moves from v_l to v_1.
-    if (wg_.deg[w] == 1) ++pendants_[path[0]];
-    // Degrees of v_1 and w unchanged; no dominance can newly arise
-    // (both endpoints of the fresh edge keep δ = 0 < deg - 1).
+    // Degrees of v_1 and w are unchanged and the fresh edge has δ = 0, so
+    // the only dominance it can create is a degree-one w dominating v_1
+    // (δ = 0 = d(w) − 1); w then also moves from v_l's pendants to v_1's.
+    if (wg_.deg[w] == 1) {
+      ++pendants_[path[0]];
+      dominated_.push_back(path[0]);
+    }
     return;
   }
   // Even path: drop all of it.

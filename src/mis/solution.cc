@@ -1,19 +1,21 @@
 #include "mis/solution.h"
 
+#include "obs/metrics.h"
+
 namespace rpmis {
 
+uint64_t RuleCounters::TotalExact() const {
+  uint64_t total = 0;
+  for (const RuleCounterField& f : kRuleCounterFields) {
+    if (f.member != &RuleCounters::peels) total += this->*f.member;
+  }
+  return total;
+}
+
 RuleCounters& RuleCounters::operator+=(const RuleCounters& other) {
-  degree_zero += other.degree_zero;
-  degree_one += other.degree_one;
-  degree_two_isolation += other.degree_two_isolation;
-  degree_two_folding += other.degree_two_folding;
-  degree_two_path += other.degree_two_path;
-  dominance += other.dominance;
-  one_pass_dominance += other.one_pass_dominance;
-  lp += other.lp;
-  twin += other.twin;
-  unconfined += other.unconfined;
-  peels += other.peels;
+  for (const RuleCounterField& f : kRuleCounterFields) {
+    this->*f.member += other.*f.member;
+  }
   return *this;
 }
 
@@ -26,6 +28,25 @@ void MisSolution::MergeStatsFrom(const MisSolution& part) {
   provably_maximum = provably_maximum && part.provably_maximum;
   rules += part.rules;
   compaction += part.compaction;
+}
+
+void MisSolution::PublishMetrics(obs::MetricsRegistry& metrics) const {
+  metrics.Set("solution.size", static_cast<double>(size));
+  metrics.Set("solution.upper_bound", static_cast<double>(UpperBound()));
+  metrics.Set("solution.provably_maximum", provably_maximum ? 1.0 : 0.0);
+  metrics.Set("solution.peeled", static_cast<double>(peeled));
+  metrics.Set("solution.residual_peeled", static_cast<double>(residual_peeled));
+  metrics.Set("kernel.vertices", static_cast<double>(kernel_vertices));
+  metrics.Set("kernel.edges", static_cast<double>(kernel_edges));
+  for (const RuleCounterField& f : kRuleCounterFields) {
+    metrics.Add(f.metric, rules.*f.member);
+  }
+  metrics.Add("rules.total_exact", rules.TotalExact());
+  metrics.Add("compaction.rebuilds", compaction.compactions);
+  metrics.Add("compaction.vertices_scanned", compaction.vertices_scanned);
+  metrics.Add("compaction.slots_scanned", compaction.slots_scanned);
+  metrics.Add("compaction.vertices_kept", compaction.vertices_kept);
+  metrics.Add("compaction.slots_kept", compaction.slots_kept);
 }
 
 void MisSolution::Finalize(std::span<const uint8_t> peeled_flags) {

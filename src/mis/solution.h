@@ -3,6 +3,7 @@
 #define RPMIS_MIS_SOLUTION_H_
 
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -10,6 +11,10 @@
 #include "mis/compaction.h"
 
 namespace rpmis {
+
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
 
 /// Per-reduction-rule application counters (diagnostics for DESIGN.md's
 /// ablations and the kernel benches).
@@ -26,14 +31,36 @@ struct RuleCounters {
   uint64_t unconfined = 0;
   uint64_t peels = 0;             // inexact reductions (|F|)
 
-  uint64_t TotalExact() const {
-    return degree_zero + degree_one + degree_two_isolation + degree_two_folding +
-           degree_two_path + dominance + one_pass_dominance + lp + twin + unconfined;
-  }
+  /// Sum of every counter except `peels`.
+  uint64_t TotalExact() const;
 
   /// Field-wise accumulation (merging per-component runs).
   RuleCounters& operator+=(const RuleCounters& other);
 };
+
+/// One row per RuleCounters field: its metric name and member. Every loop
+/// over all the rule counters walks this table, so adding a rule counter
+/// means adding the field and one row here.
+struct RuleCounterField {
+  const char* metric;
+  uint64_t RuleCounters::*member;
+};
+inline constexpr RuleCounterField kRuleCounterFields[] = {
+    {"rules.degree_zero", &RuleCounters::degree_zero},
+    {"rules.degree_one", &RuleCounters::degree_one},
+    {"rules.degree_two_isolation", &RuleCounters::degree_two_isolation},
+    {"rules.degree_two_folding", &RuleCounters::degree_two_folding},
+    {"rules.degree_two_path", &RuleCounters::degree_two_path},
+    {"rules.dominance", &RuleCounters::dominance},
+    {"rules.one_pass_dominance", &RuleCounters::one_pass_dominance},
+    {"rules.lp", &RuleCounters::lp},
+    {"rules.twin", &RuleCounters::twin},
+    {"rules.unconfined", &RuleCounters::unconfined},
+    {"rules.peels", &RuleCounters::peels},
+};
+static_assert(sizeof(RuleCounters) ==
+                  std::size(kRuleCounterFields) * sizeof(uint64_t),
+              "every RuleCounters field needs a kRuleCounterFields row");
 
 /// A deferred degree-two-path membership decision (Lemma 4.1 cases 3-5).
 /// `v` was removed with exactly two neighbours, `nb1`/`nb2` — possibly
@@ -93,6 +120,13 @@ struct MisSolution {
   /// caller's vertex renaming. This is the one merge routine shared by
   /// every component-wise runner.
   void MergeStatsFrom(const MisSolution& part);
+
+  /// Publishes the solution's figures into `metrics`: the Theorem 6.1
+  /// and kernel figures as gauges ("solution.size", "kernel.vertices"),
+  /// the rule and compaction counters as counters ("rules.degree_one",
+  /// "compaction.rebuilds"). Counters accumulate over repeated runs;
+  /// gauges keep the last run.
+  void PublishMetrics(obs::MetricsRegistry& metrics) const;
 
   /// Recomputes `size` from `in_set` (used after post-processing passes).
   void RecountSize() {

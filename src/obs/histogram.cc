@@ -48,6 +48,9 @@ void LatencyHistogram::PublishTo(MetricsRegistry& metrics,
     if (buckets_[i] == 0) continue;
     metrics.Add(base + ".le_us." + std::to_string(1ULL << i), buckets_[i]);
   }
+  metrics.Set(base + ".mean_us", MeanSeconds() * 1e6);
+  metrics.Set(base + ".p50_us", QuantileSeconds(0.5) * 1e6);
+  metrics.Set(base + ".p99_us", QuantileSeconds(0.99) * 1e6);
 }
 
 void LatencyHistogram::Reset() {

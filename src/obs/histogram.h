@@ -9,6 +9,8 @@
 //
 //   <prefix>.count, <prefix>.sum_us, <prefix>.le_us.<edge>
 //
+// plus the gauges <prefix>.mean_us, <prefix>.p50_us and <prefix>.p99_us.
+//
 // Buckets are powers of two in microseconds (…, le_us.1, le_us.2,
 // le_us.4, …), cumulative-friendly without being cumulative: each bucket
 // counts events with edge/2 < latency_us <= edge.
@@ -42,8 +44,10 @@ class LatencyHistogram {
 
   /// Writes count/sum and every non-empty bucket into `metrics` as
   /// counters named "<prefix>.count", "<prefix>.sum_us",
-  /// "<prefix>.le_us.<2^i>". Safe to call repeatedly only on a registry
-  /// that is cleared between publishes (counters accumulate).
+  /// "<prefix>.le_us.<2^i>", and the mean, p50 and p99 (QuantileSeconds)
+  /// as gauges "<prefix>.mean_us", "<prefix>.p50_us", "<prefix>.p99_us".
+  /// Safe to call repeatedly only on a registry that is cleared between
+  /// publishes (counters accumulate).
   void PublishTo(MetricsRegistry& metrics, std::string_view prefix) const;
 
   void Reset();

@@ -1,6 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
 
 namespace rpmis::obs {
 
@@ -54,6 +56,23 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::Snapshot() const {
 void MetricsRegistry::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   cells_.clear();
+}
+
+std::string FormatMetrics(std::span<const MetricsRegistry::Entry> entries) {
+  std::string out;
+  char value[32];
+  for (const MetricsRegistry::Entry& e : entries) {
+    if (e.is_counter) {
+      std::snprintf(value, sizeof(value), "%" PRIu64, e.counter);
+    } else {
+      std::snprintf(value, sizeof(value), "%.15g", e.gauge);
+    }
+    out += e.name;
+    out += ' ';
+    out += value;
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace rpmis::obs

@@ -1,11 +1,12 @@
 // Metrics registry: named monotone counters and last-write gauges.
 //
-// This is the generic successor of the bespoke per-struct counter
-// plumbing (RuleCounters, CompactionStats): solvers and harnesses write
-// named values, sinks (FormatSolverStats, the JSONL run records) read one
-// sorted snapshot instead of knowing every struct's fields. Names are
-// dotted lowercase paths ("rules.degree_one", "compaction.slots_kept",
-// "arw.iterations").
+// The one place counters are named: solutions and the dynamic engine
+// publish their structs' fields here (MisSolution::PublishMetrics,
+// DynamicMisEngine::PublishMetrics), and every sink — the --metrics and
+// --records JSONL lines, mis_cli --stats through FormatMetrics — reads
+// one sorted snapshot instead of knowing the structs. Names are dotted
+// lowercase paths ("rules.degree_one", "compaction.slots_kept",
+// "dynamic.update_latency.p99_us").
 //
 // Thread-safe; hot-path cost is one hash lookup under a mutex, so solver
 // code publishes aggregates once per run (or per phase), never per
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -65,6 +67,11 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::unordered_map<std::string, Cell> cells_;
 };
+
+/// One "name value" line per entry, in snapshot order: counters as
+/// integers, gauges as %.15g (integral gauges such as "solution.size"
+/// stay exact, fractional ones print without float noise).
+std::string FormatMetrics(std::span<const MetricsRegistry::Entry> entries);
 
 }  // namespace rpmis::obs
 

@@ -173,15 +173,9 @@ void ExpectIdenticalModuloCompaction(const MisSolution& on,
   EXPECT_EQ(on.kernel_vertices, off.kernel_vertices);
   EXPECT_EQ(on.kernel_edges, off.kernel_edges);
   EXPECT_EQ(on.provably_maximum, off.provably_maximum);
-  EXPECT_EQ(on.rules.degree_zero, off.rules.degree_zero);
-  EXPECT_EQ(on.rules.degree_one, off.rules.degree_one);
-  EXPECT_EQ(on.rules.degree_two_isolation, off.rules.degree_two_isolation);
-  EXPECT_EQ(on.rules.degree_two_folding, off.rules.degree_two_folding);
-  EXPECT_EQ(on.rules.degree_two_path, off.rules.degree_two_path);
-  EXPECT_EQ(on.rules.dominance, off.rules.dominance);
-  EXPECT_EQ(on.rules.one_pass_dominance, off.rules.one_pass_dominance);
-  EXPECT_EQ(on.rules.lp, off.rules.lp);
-  EXPECT_EQ(on.rules.peels, off.rules.peels);
+  for (const RuleCounterField& f : kRuleCounterFields) {
+    EXPECT_EQ(on.rules.*f.member, off.rules.*f.member) << f.metric;
+  }
   EXPECT_EQ(off.compaction.compactions, 0u);
 }
 

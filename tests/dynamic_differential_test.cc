@@ -91,5 +91,52 @@ TEST(DynamicDifferentialTest, TinyGraphTortureStream) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
+// RandomUpdateStream never revives a dead id. This stream interleaves a
+// random one with hand-made updates that revive the ids its `dv`s deleted,
+// through `ae` (dead id joined to a live endpoint of the previous update)
+// and `av` (a new vertex adjacent to a dead id and a live one), and holds
+// the default quality gate to the usual 1% at every step. A hand-made `av`
+// takes the next id, so later ids the random stream created are shifted.
+TEST(DynamicDifferentialTest, RevivingStreamUnderDefaultGate) {
+  const Graph g = ChungLuPowerLaw(3000, 2.5, 6.0, /*seed=*/17);
+  const Vertex n = g.NumVertices();
+  const auto base = RandomUpdateStream(g, 1000, /*seed=*/500);
+  std::vector<Vertex> created;  // base-stream id n + i -> actual id
+  Vertex universe = n;
+  const auto actual = [&](Vertex x) { return x < n ? x : created[x - n]; };
+  std::vector<Vertex> dead;
+  std::vector<GraphUpdate> updates;
+  uint64_t revived = 0;
+  for (size_t i = 0; i < base.size(); ++i) {
+    GraphUpdate up = base[i];
+    if (up.kind == UpdateKind::kInsertVertex) {
+      for (Vertex& x : up.neighbors) x = actual(x);
+      created.push_back(universe++);
+    } else {
+      up.u = actual(up.u);
+      if (up.kind != UpdateKind::kDeleteVertex) up.v = actual(up.v);
+    }
+    if (up.kind == UpdateKind::kDeleteVertex) dead.push_back(up.u);
+    const bool edge_update = up.kind == UpdateKind::kInsertEdge ||
+                             up.kind == UpdateKind::kDeleteEdge;
+    const Vertex live = up.u;
+    updates.push_back(std::move(up));
+    if (!edge_update || dead.empty() || i % 3 != 0) continue;
+    const Vertex d = dead.back();
+    dead.pop_back();
+    if (revived++ % 2 == 0) {
+      updates.push_back(GraphUpdate::InsertEdge(d, live));
+    } else {
+      updates.push_back(GraphUpdate::InsertVertex({d, live}));
+      ++universe;
+    }
+  }
+  ASSERT_GE(revived, 100u);
+  const DifferentialReport report =
+      RunDifferentialStream(g, updates, AcceptanceOptions());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_EQ(report.updates_applied, updates.size());
+}
+
 }  // namespace
 }  // namespace rpmis

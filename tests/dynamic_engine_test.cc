@@ -322,6 +322,8 @@ TEST(DynamicEngineTest, LatencyHistogramAndMetrics) {
   EXPECT_EQ(updates, 50u);
   EXPECT_EQ(metrics.Gauge("dynamic.set.size"),
             static_cast<double>(engine.Size()));
+  EXPECT_DOUBLE_EQ(metrics.Gauge("dynamic.update_latency.p99_us"),
+                   engine.stats().latency.QuantileSeconds(0.99) * 1e6);
 }
 
 TEST(DynamicEngineTest, EvictionPrefersPeeledProvenance) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "benchkit/stats.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "mis/bdone.h"
@@ -72,7 +71,7 @@ template <typename Solve>
 PublishedMetrics Published(const Graph& g, Solve&& solve) {
   obs::MetricsRegistry reg;
   MisSolution sol = solve(g);
-  PublishSolutionMetrics(sol, &reg);
+  sol.PublishMetrics(reg);
   return PublishedMetrics{reg.Snapshot()};
 }
 
@@ -189,10 +188,43 @@ TEST(CounterGoldensTest, NoCompactionsOnTinyGraphs) {
       MisSolution sol = solve(g);
       EXPECT_EQ(sol.compaction.compactions, 0u);
       obs::MetricsRegistry reg;
-      PublishSolutionMetrics(sol, &reg);
+      sol.PublishMetrics(reg);
       EXPECT_EQ(reg.Counter("compaction.rebuilds"), 0u);
     }
   }
+}
+
+TEST(CounterTableTest, TotalsMergeAndPublishWalkTheTable) {
+  RuleCounters a;
+  uint64_t value = 1;
+  for (const RuleCounterField& f : kRuleCounterFields) a.*f.member = value++;
+  // Every field but peels (the last row, value 11) is exact: 1 + ... + 10.
+  EXPECT_EQ(a.TotalExact(), 55u);
+  RuleCounters b = a;
+  b += a;
+  for (const RuleCounterField& f : kRuleCounterFields) {
+    EXPECT_EQ(b.*f.member, 2 * (a.*f.member)) << f.metric;
+  }
+  MisSolution sol;
+  sol.rules = a;
+  obs::MetricsRegistry reg;
+  sol.PublishMetrics(reg);
+  for (const RuleCounterField& f : kRuleCounterFields) {
+    EXPECT_EQ(reg.Counter(f.metric), a.*f.member) << f.metric;
+  }
+  EXPECT_EQ(reg.Counter("rules.total_exact"), 55u);
+}
+
+TEST(FormatMetricsTest, OneNameValueLinePerEntry) {
+  obs::MetricsRegistry reg;
+  EXPECT_EQ(obs::FormatMetrics(reg.Snapshot()), "");
+  reg.Add("rules.degree_one", 12345678901234ULL);
+  reg.Set("solution.size", 3.0);
+  reg.Set("lat.mean_us", 0.25);
+  EXPECT_EQ(obs::FormatMetrics(reg.Snapshot()),
+            "lat.mean_us 0.25\n"
+            "rules.degree_one 12345678901234\n"
+            "solution.size 3\n");
 }
 
 TEST(TraceTest, SolverTraceIsWellFormed) {
@@ -337,6 +369,9 @@ TEST(HistogramTest, RecordsIntoLogBucketsAndPublishes) {
   EXPECT_EQ(metrics.Counter("lat.le_us.4"), 1u);
   EXPECT_EQ(metrics.Counter("lat.le_us.128"), 1u);
   EXPECT_FALSE(metrics.Contains("lat.le_us.2"));  // empty buckets omitted
+  EXPECT_NEAR(metrics.Gauge("lat.mean_us"), 34.5, 1e-6);
+  EXPECT_DOUBLE_EQ(metrics.Gauge("lat.p50_us"), 4.0);
+  EXPECT_DOUBLE_EQ(metrics.Gauge("lat.p99_us"), h.QuantileSeconds(0.99) * 1e6);
 
   h.Reset();
   EXPECT_EQ(h.Count(), 0u);

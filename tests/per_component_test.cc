@@ -49,17 +49,9 @@ void ExpectIdenticalSolutions(const MisSolution& a, const MisSolution& b) {
   EXPECT_EQ(a.kernel_vertices, b.kernel_vertices);
   EXPECT_EQ(a.kernel_edges, b.kernel_edges);
   EXPECT_EQ(a.provably_maximum, b.provably_maximum);
-  EXPECT_EQ(a.rules.degree_zero, b.rules.degree_zero);
-  EXPECT_EQ(a.rules.degree_one, b.rules.degree_one);
-  EXPECT_EQ(a.rules.degree_two_isolation, b.rules.degree_two_isolation);
-  EXPECT_EQ(a.rules.degree_two_folding, b.rules.degree_two_folding);
-  EXPECT_EQ(a.rules.degree_two_path, b.rules.degree_two_path);
-  EXPECT_EQ(a.rules.dominance, b.rules.dominance);
-  EXPECT_EQ(a.rules.one_pass_dominance, b.rules.one_pass_dominance);
-  EXPECT_EQ(a.rules.lp, b.rules.lp);
-  EXPECT_EQ(a.rules.twin, b.rules.twin);
-  EXPECT_EQ(a.rules.unconfined, b.rules.unconfined);
-  EXPECT_EQ(a.rules.peels, b.rules.peels);
+  for (const RuleCounterField& f : kRuleCounterFields) {
+    EXPECT_EQ(a.rules.*f.member, b.rules.*f.member) << f.metric;
+  }
 }
 
 // `count` disjoint k-cliques.

@@ -16,21 +16,18 @@ using namespace rpmis;
 
 int main(int argc, char** argv) {
   const bool fast = bench::HasFlag(argc, argv, "--fast");
-  const bool per_component = bench::HasFlag(argc, argv, "--per-component");
   ObsSession obs("bench_fig7", argc, argv);
   bench::PrintHeader(
       "Figure 7 - time & memory: existing polynomial baselines vs BDOne",
       "Greedy fastest; BDOne faster than DU; SemiE slowest; similar memory "
       "across all four.");
 
-  const std::vector<bench::NamedAlgorithm> algos = bench::MaybePerComponent(
-      {
-          {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
-          {"DU", [](const Graph& g) { return RunDU(g); }},
-          {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
-          {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
-      },
-      per_component);
+  const std::vector<bench::NamedAlgorithm> algos = {
+      {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
+      {"DU", [](const Graph& g) { return RunDU(g); }},
+      {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
+      {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
+  };
 
   TablePrinter time_table({"Graph", "Greedy", "DU", "SemiE", "BDOne"});
   TablePrinter mem_table({"Graph", "Greedy", "DU", "SemiE", "BDOne"});

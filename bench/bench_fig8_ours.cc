@@ -16,21 +16,18 @@ using namespace rpmis;
 
 int main(int argc, char** argv) {
   const bool fast = bench::HasFlag(argc, argv, "--fast");
-  const bool per_component = bench::HasFlag(argc, argv, "--per-component");
   ObsSession obs("bench_fig8", argc, argv);
   bench::PrintHeader(
       "Figure 8 - time & memory: our four algorithms (+ VCSolver reference)",
       "BDOne ~ LinearTime ~ NearLinear in time/memory; BDTwo ~3x memory and "
       "slower; VCSolver one or more orders of magnitude above.");
 
-  const std::vector<bench::NamedAlgorithm> algos = bench::MaybePerComponent(
-      {
-          {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
-          {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
-          {"LinearTime", [](const Graph& g) { return RunLinearTime(g); }},
-          {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
-      },
-      per_component);
+  const std::vector<bench::NamedAlgorithm> algos = {
+      {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
+      {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
+      {"LinearTime", [](const Graph& g) { return RunLinearTime(g); }},
+      {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
+  };
 
   TablePrinter time_table(
       {"Graph", "BDOne", "BDTwo", "LinearT", "NearLin", "VCSolver"});

@@ -17,7 +17,6 @@ using namespace rpmis;
 
 int main(int argc, char** argv) {
   const bool fast = bench::HasFlag(argc, argv, "--fast");
-  const bool per_component = bench::HasFlag(argc, argv, "--per-component");
   ObsSession obs("bench_table3", argc, argv);
   bench::PrintHeader(
       "Table 3 - gap to the independence number (easy instances)",
@@ -25,17 +24,15 @@ int main(int argc, char** argv) {
       "NearLinear accuracy >= 99.895%, certifies optimality (*) on most "
       "power-law graphs via an empty kernel.");
 
-  const std::vector<bench::NamedAlgorithm> algos = bench::MaybePerComponent(
-      {
-          {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
-          {"DU", [](const Graph& g) { return RunDU(g); }},
-          {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
-          {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
-          {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
-          {"LinearTime", [](const Graph& g) { return RunLinearTime(g); }},
-          {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
-      },
-      per_component);
+  const std::vector<bench::NamedAlgorithm> algos = {
+      {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
+      {"DU", [](const Graph& g) { return RunDU(g); }},
+      {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
+      {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
+      {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
+      {"LinearTime", [](const Graph& g) { return RunLinearTime(g); }},
+      {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
+  };
 
   TablePrinter table({"Graph", "alpha", "Greedy", "DU", "SemiE", "BDOne",
                       "BDTwo", "LinearT", "NearLin", "NL acc", "NL kernel"});

@@ -21,7 +21,6 @@ using namespace rpmis;
 
 int main(int argc, char** argv) {
   const bool fast = bench::HasFlag(argc, argv, "--fast");
-  const bool per_component = bench::HasFlag(argc, argv, "--per-component");
   ObsSession obs("bench_table4", argc, argv);
   bench::PrintHeader(
       "Table 4 - gap to the best local-search result (hard instances)",
@@ -29,17 +28,15 @@ int main(int argc, char** argv) {
       "wins occasionally); the paper's BDTwo runs out of memory on the 3 "
       "largest graphs.");
 
-  const std::vector<bench::NamedAlgorithm> algos = bench::MaybePerComponent(
-      {
-          {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
-          {"DU", [](const Graph& g) { return RunDU(g); }},
-          {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
-          {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
-          {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
-          {"LinearTime", [](const Graph& g) { return RunLinearTime(g); }},
-          {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
-      },
-      per_component);
+  const std::vector<bench::NamedAlgorithm> algos = {
+      {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
+      {"DU", [](const Graph& g) { return RunDU(g); }},
+      {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
+      {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
+      {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
+      {"LinearTime", [](const Graph& g) { return RunLinearTime(g); }},
+      {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
+  };
 
   TablePrinter table({"Graph", "best", "Greedy", "DU", "SemiE", "BDOne",
                       "BDTwo", "LinearT", "NearLin"});

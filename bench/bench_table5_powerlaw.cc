@@ -18,7 +18,6 @@ using namespace rpmis;
 
 int main(int argc, char** argv) {
   const bool fast = bench::HasFlag(argc, argv, "--fast");
-  const bool per_component = bench::HasFlag(argc, argv, "--per-component");
   ObsSession obs("bench_table5", argc, argv);
   bench::PrintHeader(
       "Table 5 - power-law random graphs, beta = 1.9 .. 2.7",
@@ -26,14 +25,12 @@ int main(int argc, char** argv) {
       "graphs; DU hits 0 without a certificate; Greedy/SemiE leave gaps.");
 
   const Vertex n = fast ? 20000 : 200000;
-  const std::vector<bench::NamedAlgorithm> algos = bench::MaybePerComponent(
-      {
-          {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
-          {"DU", [](const Graph& g) { return RunDU(g); }},
-          {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
-          {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
-      },
-      per_component);
+  const std::vector<bench::NamedAlgorithm> algos = {
+      {"Greedy", [](const Graph& g) { return RunGreedy(g); }},
+      {"DU", [](const Graph& g) { return RunDU(g); }},
+      {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
+      {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
+  };
 
   TablePrinter table(
       {"Graph", "beta", "alpha", "Greedy", "DU", "SemiE", "BDOne"});

@@ -21,7 +21,6 @@ using namespace rpmis;
 
 int main(int argc, char** argv) {
   const bool fast = bench::HasFlag(argc, argv, "--fast");
-  const bool per_component = bench::HasFlag(argc, argv, "--per-component");
   ObsSession obs("bench_table6", argc, argv);
   bench::PrintHeader(
       "Table 6 - uniform random graphs, average degree 2.00 .. 3.00",
@@ -29,15 +28,13 @@ int main(int argc, char** argv) {
       "with NearLinear/BDTwo closest.");
 
   const Vertex n = fast ? 20000 : 200000;
-  const std::vector<bench::NamedAlgorithm> algos = bench::MaybePerComponent(
-      {
-          {"DU", [](const Graph& g) { return RunDU(g); }},
-          {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
-          {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
-          {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
-          {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
-      },
-      per_component);
+  const std::vector<bench::NamedAlgorithm> algos = {
+      {"DU", [](const Graph& g) { return RunDU(g); }},
+      {"SemiE", [](const Graph& g) { return RunSemiE(g); }},
+      {"BDOne", [](const Graph& g) { return RunBDOne(g); }},
+      {"BDTwo", [](const Graph& g) { return RunBDTwo(g); }},
+      {"NearLinear", [](const Graph& g) { return RunNearLinear(g); }},
+  };
 
   TablePrinter table({"Graph", "avg d", "best", "DU", "SemiE", "BDOne",
                       "BDTwo", "NearLin"});

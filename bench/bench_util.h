@@ -2,9 +2,7 @@
 //
 // Every bench accepts `--fast` (subsample instances, shrink budgets) so
 // the full suite can be smoke-tested quickly; default runs reproduce the
-// EXPERIMENTS.md numbers. The solver benches additionally accept
-// `--per-component` to run every algorithm component-wise with the
-// parallel component scheduler (see mis/per_component.h).
+// EXPERIMENTS.md numbers.
 #ifndef RPMIS_BENCH_BENCH_UTIL_H_
 #define RPMIS_BENCH_BENCH_UTIL_H_
 
@@ -19,7 +17,6 @@
 #include "benchkit/run.h"
 #include "benchkit/table.h"
 #include "graph/graph.h"
-#include "mis/per_component.h"
 #include "mis/solution.h"
 #include "mis/verify.h"
 #include "support/assert.h"
@@ -45,22 +42,6 @@ struct NamedAlgorithm {
   std::string name;
   std::function<MisSolution(const Graph&)> run;
 };
-
-/// With `enabled` (the shared --per-component flag), wraps every
-/// algorithm to solve each connected component independently, components
-/// scheduled across the support/parallel pool (RPMIS_THREADS-aware).
-/// Results are identical to the plain run for component-local algorithms;
-/// only the time/memory columns move. No-op when disabled.
-inline std::vector<NamedAlgorithm> MaybePerComponent(
-    std::vector<NamedAlgorithm> algos, bool enabled) {
-  if (!enabled) return algos;
-  for (NamedAlgorithm& algo : algos) {
-    algo.run = [inner = std::move(algo.run)](const Graph& g) {
-      return RunPerComponentParallel(g, inner);
-    };
-  }
-  return algos;
-}
 
 /// Runs `algo` on g, validates the result, and returns it; aborts on an
 /// invalid solution so a broken heuristic can never "win" a table.

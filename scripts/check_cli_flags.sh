@@ -5,7 +5,10 @@
 #   an uncaught exception, and not a silently truncated number;
 # - --stats must print, on stderr, every entry of the run's --metrics
 #   snapshot as a `name value` line with the same value, in solver mode and
-#   in --updates mode, and must leave stdout (the solution) unchanged.
+#   in --updates mode, and must leave stdout (the solution) unchanged;
+# - a cone over the dynamic engine's budget takes the full re-solve: on
+#   K_601, deleting the one selected vertex frees 600 > 512 vertices, and
+#   --updates must verify, keep a set of size 1 and count one fallback.
 #
 # Usage: check_cli_flags.sh MIS_CLI_BINARY
 set -eu
@@ -126,6 +129,28 @@ for algo in lineartime nearlinear bdtwo; do
 done
 check_stats updates dynamic.update_latency.p99_us dynamic.updates.insert_vertex \
     -- --updates="$STREAM" --verify
+
+CLIQUE="$TMPDIR_CLI/k601.txt"
+awk 'BEGIN { for (i = 0; i < 601; ++i) for (j = i + 1; j < 601; ++j) print i, j }' \
+    > "$CLIQUE"
+if ! "$CLI" "$CLIQUE" --no-cache --algo=lineartime --out="$TMPDIR_CLI/k601.sol" \
+       > /dev/null 2>&1 || [ "$(wc -l < "$TMPDIR_CLI/k601.sol")" -ne 1 ]; then
+    echo "FAIL: over-budget cone: K_601 does not solve to one vertex" >&2
+    failures=$((failures + 1))
+else
+    echo "dv $(cat "$TMPDIR_CLI/k601.sol")" > "$TMPDIR_CLI/k601.stream"
+    if ! "$CLI" "$CLIQUE" --no-cache --updates="$TMPDIR_CLI/k601.stream" \
+           --verify --stats > /dev/null 2> "$TMPDIR_CLI/k601.err" ||
+       ! grep -q '^verified: ' "$TMPDIR_CLI/k601.err" ||
+       ! grep -qx 'dynamic.set.size 1' "$TMPDIR_CLI/k601.err" ||
+       ! grep -qx 'dynamic.fallback.component 1' "$TMPDIR_CLI/k601.err"; then
+        echo "FAIL: over-budget cone: dv of K_601's selected vertex:" >&2
+        cat "$TMPDIR_CLI/k601.err" >&2
+        failures=$((failures + 1))
+    else
+        echo "ok: over-budget cone takes the full re-solve"
+    fi
+fi
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures check(s) failed" >&2

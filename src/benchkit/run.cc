@@ -45,14 +45,14 @@ std::optional<uint64_t> TryReadStatusKb(const char* key) {
   return value;
 }
 
-// One warning per process, not one per call: the harness polls RSS in
+// One warning per process, not one per call: the harness measures in
 // loops and a hardened container would otherwise flood stderr.
 void WarnRssUnavailableOnce() {
   static std::atomic<bool> warned{false};
   if (!warned.exchange(true, std::memory_order_relaxed)) {
     std::fprintf(stderr,
-                 "rpmis: /proc/self/status is unreadable or lacks VmHWM/VmRSS; "
-                 "RSS figures degrade to 0 (records mark them absent)\n");
+                 "rpmis: /proc/self/status is unreadable or lacks VmHWM; "
+                 "peak-RSS figures degrade to 0 (records mark them absent)\n");
   }
 }
 
@@ -77,19 +77,6 @@ void FillRusageDelta(const rusage& before, ChildMeasurement* report) {
 }  // namespace
 
 std::optional<uint64_t> TryPeakRssKb() { return TryReadStatusKb("VmHWM"); }
-std::optional<uint64_t> TryCurrentRssKb() { return TryReadStatusKb("VmRSS"); }
-
-uint64_t PeakRssKb() {
-  const auto v = TryPeakRssKb();
-  if (!v.has_value()) WarnRssUnavailableOnce();
-  return v.value_or(0);
-}
-
-uint64_t CurrentRssKb() {
-  const auto v = TryCurrentRssKb();
-  if (!v.has_value()) WarnRssUnavailableOnce();
-  return v.value_or(0);
-}
 
 ChildMeasurement MeasureInChild(const std::function<void(uint64_t[4])>& body) {
   ChildMeasurement out;
@@ -207,12 +194,6 @@ ChildMeasurement MeasureInChild(const std::function<void(uint64_t[4])>& body) {
   }
   if (out.ok && !out.rss_available) WarnRssUnavailableOnce();
   return out;
-}
-
-double MeasureSeconds(const std::function<void()>& body) {
-  Timer t;
-  body();
-  return t.Seconds();
 }
 
 }  // namespace rpmis

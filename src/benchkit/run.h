@@ -21,17 +21,6 @@ namespace rpmis {
 /// unavailable path; re-read on every call).
 std::optional<uint64_t> TryPeakRssKb();
 
-/// Current process resident set size (VmRSS) in KiB; nullopt as above.
-std::optional<uint64_t> TryCurrentRssKb();
-
-/// TryPeakRssKb() with a 0 fallback for display-only call sites. The
-/// first failing call logs one warning to stderr; run records must use
-/// the Try* form and mark the field absent instead of recording 0.
-uint64_t PeakRssKb();
-
-/// TryCurrentRssKb() with the same 0-fallback/log-once contract.
-uint64_t CurrentRssKb();
-
 struct ChildMeasurement {
   double seconds = 0.0;
   uint64_t peak_rss_delta_kb = 0;  // child VmHWM growth during the run
@@ -58,9 +47,6 @@ struct ChildMeasurement {
 /// with a zeroed payload (never partial data), and any forked child is
 /// reaped in every branch.
 ChildMeasurement MeasureInChild(const std::function<void(uint64_t payload[4])>& body);
-
-/// In-process wall-time measurement.
-double MeasureSeconds(const std::function<void()>& body);
 
 }  // namespace rpmis
 

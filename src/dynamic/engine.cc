@@ -14,6 +14,11 @@ namespace rpmis {
 
 namespace {
 
+// Local repair handles cones of up to max(kMinCone, kConeFraction * alive)
+// vertices; a larger cone takes the full re-solve.
+constexpr uint64_t kMinCone = 512;
+constexpr double kConeFraction = 0.02;
+
 [[noreturn]] void ThrowBadVertex(Vertex v, Vertex n) {
   throw std::out_of_range("dynamic update names vertex " + std::to_string(v) +
                           " outside the universe [0, " + std::to_string(n) +
@@ -207,7 +212,6 @@ DynamicMisEngine::DynamicMisEngine(const Graph& g, const DynamicPolicy& policy)
   base_gap_ = sol.residual_peeled;
   in_count_.assign(g.NumVertices(), 0);
   seen_.Resize(g.NumVertices());
-  sub_id_.assign(g.NumVertices(), kInvalidVertex);
   RebuildInCounts();
 }
 
@@ -377,20 +381,17 @@ void DynamicMisEngine::Repair(UpdateOutcome& out) {
     stats_.cone_vertices += free.size();
     stats_.max_cone = std::max<uint64_t>(stats_.max_cone, free.size());
 
-    if (!free.empty()) {
-      const uint64_t budget = std::max<uint64_t>(
-          policy_.min_cone,
-          static_cast<uint64_t>(policy_.cone_fraction *
-                                static_cast<double>(adj_.NumAliveVertices())));
-      if (free.size() > budget) {
-        if (auto* t = obs::Trace()) t->Instant("dynamic.component_fallback");
-        ResolveComponent(free);
-        out.component_fallback = true;
-        ++stats_.component_fallbacks;
-      } else {
-        RepairLocally(free);
-      }
+    const double alive = static_cast<double>(adj_.NumAliveVertices());
+    const uint64_t budget =
+        std::max(kMinCone, static_cast<uint64_t>(kConeFraction * alive));
+    if (free.size() > budget) {
+      // The re-solve resets the gap, so the drift gate has nothing to do.
+      Resolve();
+      out.full_resolve = true;
+      ++stats_.component_fallbacks;
+      return;
     }
+    RepairLocally(free);
   }
 
   // The drift gate runs even with an empty cone: evictions shrink the set
@@ -402,7 +403,6 @@ void DynamicMisEngine::Repair(UpdateOutcome& out) {
   if (upper_ - size_ > base_gap_ + slack) {
     Resolve();
     out.full_resolve = true;
-    ++stats_.full_resolves;
   }
 }
 
@@ -464,66 +464,11 @@ void DynamicMisEngine::RepairLocally(std::vector<Vertex>& free) {
   }
 }
 
-void DynamicMisEngine::ResolveComponent(std::span<const Vertex> seeds) {
-  obs::TraceSpan span(obs::Trace(), "dynamic.resolve_component");
-  // Closure of the seeds' connected components; no edge leaves the
-  // collected set, so membership changes inside it cannot unbalance
-  // in_counts outside it.
-  seen_.Clear();
-  std::vector<Vertex> comp;
-  for (Vertex s : seeds) {
-    if (seen_.Contains(s)) continue;
-    seen_.Insert(s);
-    comp.push_back(s);
-  }
-  for (size_t head = 0; head < comp.size(); ++head) {
-    adj_.ForEachNeighbor(comp[head], [&](Vertex w) {
-      if (!seen_.Contains(w)) {
-        seen_.Insert(w);
-        comp.push_back(w);
-      }
-    });
-  }
-
-  for (size_t i = 0; i < comp.size(); ++i) {
-    sub_id_[comp[i]] = static_cast<Vertex>(i);
-  }
-  std::vector<Edge> edges;
-  for (Vertex v : comp) {
-    adj_.ForEachNeighbor(v, [&](Vertex w) {
-      if (v < w) edges.emplace_back(sub_id_[v], sub_id_[w]);
-    });
-  }
-  const Graph sub =
-      Graph::FromEdges(static_cast<Vertex>(comp.size()), edges);
-
-  std::vector<uint8_t> sub_peeled;
-  LinearTimeOptions opt;
-  opt.peeled = &sub_peeled;
-  const MisSolution sol = RunLinearTime(sub, nullptr, opt);
-
-  for (Vertex v : comp) {
-    const Vertex s = sub_id_[v];
-    if (in_set_[v]) --size_;
-    in_set_[v] = sol.in_set[s];
-    if (in_set_[v]) ++size_;
-    peeled_[v] = sub_peeled[s];
-  }
-  for (Vertex v : comp) {
-    uint32_t count = 0;
-    adj_.ForEachNeighbor(v, [&](Vertex w) { count += in_set_[w] ? 1 : 0; });
-    in_count_[v] = count;
-  }
-  for (Vertex v : comp) sub_id_[v] = kInvalidVertex;
-}
-
-void DynamicMisEngine::ForceResolve() {
-  Resolve();
-  ++stats_.full_resolves;
-}
+void DynamicMisEngine::ForceResolve() { Resolve(); }
 
 void DynamicMisEngine::Resolve() {
   obs::TraceSpan span(obs::Trace(), "dynamic.full_resolve");
+  ++stats_.full_resolves;
   Graph g;
   {
     obs::TraceSpan merge(obs::Trace(), "dynamic.snapshot");
@@ -562,7 +507,6 @@ void DynamicMisEngine::GrowUniverse() {
   in_count_.resize(n, 0);
   peeled_.resize(n, 0);
   seen_.EnsureUniverse(n);
-  sub_id_.resize(n, kInvalidVertex);
 }
 
 void DynamicMisEngine::RebuildInCounts() {

@@ -19,12 +19,14 @@
 // Repair re-runs the reducing-peeling worklist locally on the free cone
 // (degree-zero/one includes, degree-two isolation, then min-free-degree
 // greedy). Repair only ever *includes* vertices, so the cone shrinks
-// monotonically and the work per update is O(cone · deg). When a cone
-// exceeds the policy budget the engine falls back to a scoped re-solve of
-// the touched connected component; a maintained upper bound U on α(G_t)
-// (Theorem 6.1 at the last full solve, raised by every update that can
-// raise α) gates quality drift and forces a full re-solve when the set
-// falls too far behind U.
+// monotonically and the work per update is O(cone · deg). There are two
+// repair tiers. A cone of at most max(512, 2 % of the alive vertices) is
+// repaired locally. A larger one already costs Ω(n/50) and takes the full
+// re-solve: one O(n + m) merge plus LinearTime, which also resets U and
+// the gate below. A maintained upper bound U on α(G_t) (Theorem 6.1 at
+// the last full solve, raised by every update that can raise α) gates
+// quality drift and forces a full re-solve when the set falls too far
+// behind U.
 //
 // The current graph is the CSR of the last full solve (the input at
 // first) with a deleted flag per slot, plus a per-vertex overlay of the
@@ -48,15 +50,11 @@ class MetricsRegistry;
 
 namespace rpmis {
 
-/// Repair/fallback thresholds. The cone budget is geometric in the alive
-/// vertex count (like the compaction threshold): local repair handles cones up to
-/// max(min_cone, cone_fraction * n_alive), larger cones re-solve the
-/// touched component. The quality gate forces a full re-solve when
+/// Quality-gate thresholds. The gate forces a full re-solve when
 /// (U - size) exceeds the gap at the last full solve by more than
-/// max(min_slack, max_gap * U).
+/// max(min_slack, max_gap * U). (The cone budget that sends a repair to
+/// the full re-solve is fixed; see the file comment.)
 struct DynamicPolicy {
-  uint32_t min_cone = 512;
-  double cone_fraction = 0.02;
   double max_gap = 0.005;
   uint32_t min_slack = 4;
 };
@@ -75,8 +73,10 @@ struct DynamicStats {
   uint64_t included_greedy = 0;        // repair includes via min-degree greedy
   uint64_t evictions = 0;              // set members evicted by edge inserts
 
+  // Full re-solves forced by an over-budget cone. The name predates the
+  // two-tier repair; perfbench reads it.
   uint64_t component_fallbacks = 0;
-  uint64_t full_resolves = 0;  // quality-gate + ForceResolve re-solves
+  uint64_t full_resolves = 0;  // all: over-budget cone, gate, ForceResolve
 
   obs::LatencyHistogram latency;  // per-update apply latency
 };
@@ -85,7 +85,6 @@ struct DynamicStats {
 struct UpdateOutcome {
   uint32_t cone = 0;        // free vertices the update invalidated
   int64_t size_delta = 0;   // change of the maintained set size
-  bool component_fallback = false;
   bool full_resolve = false;
 };
 
@@ -236,12 +235,12 @@ class DynamicMisEngine {
   }
 
   // Drains frontier_: local reducing-peeling when the cone fits the
-  // budget, component re-solve otherwise, then the quality gate.
+  // budget, then the quality gate; a full re-solve otherwise.
   void Repair(UpdateOutcome& out);
   void RepairLocally(std::vector<Vertex>& free);
-  void ResolveComponent(std::span<const Vertex> seeds);
 
   // Re-solve of the current graph; adopts solution, provenance, U.
+  // Counted in stats_.full_resolves.
   void Resolve();
 
   void GrowUniverse();  // sizes per-vertex arrays to adj_.NumVertices()
@@ -260,8 +259,7 @@ class DynamicMisEngine {
   uint64_t base_gap_ = 0;  // upper_ - size_ right after the last Resolve
 
   std::vector<Vertex> frontier_;  // free vertices awaiting repair
-  FastSet seen_;                  // frontier dedup / BFS marks
-  std::vector<Vertex> sub_id_;    // universe -> component-local id
+  FastSet seen_;                  // frontier dedup
 
   DynamicStats stats_;
 };

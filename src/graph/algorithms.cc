@@ -212,21 +212,4 @@ DegreeStats ComputeDegreeStats(const Graph& g) {
   return s;
 }
 
-std::vector<uint64_t> DegreeHistogram(const Graph& g) {
-  std::vector<uint64_t> histogram(g.NumVertices() == 0 ? 0 : g.MaxDegree() + 1, 0);
-  for (Vertex v = 0; v < g.NumVertices(); ++v) ++histogram[g.Degree(v)];
-  return histogram;
-}
-
-double GlobalClusteringCoefficient(const Graph& g) {
-  uint64_t wedges = 0;
-  for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    const uint64_t d = g.Degree(v);
-    wedges += d * (d - 1) / 2;
-  }
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(CountTriangles(g)) /
-         static_cast<double>(wedges);
-}
-
 }  // namespace rpmis

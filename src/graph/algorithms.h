@@ -121,15 +121,6 @@ struct DegreeStats {
 
 DegreeStats ComputeDegreeStats(const Graph& g);
 
-/// Degree histogram: result[d] = number of vertices with degree d
-/// (size = max degree + 1; empty for the empty graph).
-std::vector<uint64_t> DegreeHistogram(const Graph& g);
-
-/// Global clustering coefficient: 3 * #triangles / #wedges (0 if the
-/// graph has no wedge). Planted-core instances have visibly higher values
-/// than pure Chung-Lu graphs — the structure dominance feeds on.
-double GlobalClusteringCoefficient(const Graph& g);
-
 }  // namespace rpmis
 
 #endif  // RPMIS_GRAPH_ALGORITHMS_H_

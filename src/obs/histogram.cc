@@ -29,7 +29,9 @@ double LatencyHistogram::QuantileSeconds(double q) const {
   if (count_ == 0) return 0.0;
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  const uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count_ - 1));
+  // Nearest rank: the ceil(q * count)-th smallest event, 0-based.
+  const double nearest = std::ceil(q * static_cast<double>(count_));
+  const uint64_t rank = nearest < 1.0 ? 0 : static_cast<uint64_t>(nearest) - 1;
   uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i];

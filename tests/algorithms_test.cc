@@ -220,30 +220,6 @@ TEST(DegreeStatsTest, Basic) {
   EXPECT_EQ(s.num_degree_le2, 4u);
 }
 
-TEST(DegreeHistogramTest, CountsMatch) {
-  Graph g = StarGraph(5);
-  auto h = DegreeHistogram(g);
-  ASSERT_EQ(h.size(), 6u);
-  EXPECT_EQ(h[1], 5u);
-  EXPECT_EQ(h[5], 1u);
-  uint64_t total = 0;
-  for (uint64_t c : h) total += c;
-  EXPECT_EQ(total, g.NumVertices());
-}
-
-TEST(ClusteringTest, Extremes) {
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CompleteGraph(6)), 1.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CompleteBipartite(3, 4)), 0.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(PathGraph(5)), 0.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(Graph()), 0.0);
-}
-
-TEST(ClusteringTest, TriangleWithTail) {
-  // Triangle + pendant: 1 triangle, wedges = 1+1+3+0 = 5 -> 3/5.
-  Graph g = Graph::FromEdges(4, std::vector<Edge>{{0, 1}, {1, 2}, {0, 2}, {2, 3}});
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 3.0 / 5.0);
-}
-
 TEST(ClusteringTest, PlantedCoreAddsTriangles) {
   // The global coefficient is dominated by hub wedges, so compare raw
   // triangle counts: the planted cliques must add a visible surplus.

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "mis/linear_time.h"
 
 namespace rpmis {
 namespace {
@@ -56,19 +57,47 @@ TEST(DynamicDifferentialTest, EdgeHeavyStream) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-// An aggressive quality gate and a tiny cone budget make full re-solves
-// and component fallbacks actually fire; the maintained set must keep the
-// same guarantees through them.
+// An aggressive quality gate makes full re-solves actually fire; the
+// maintained set must keep the same guarantees through them.
 TEST(DynamicDifferentialTest, AggressiveResolveStream) {
   const Graph g = ChungLuPowerLaw(2000, 3.5, 5.0, /*seed=*/9);
   DifferentialOptions options = AcceptanceOptions();
   options.policy.min_slack = 2;
   options.policy.max_gap = 0.0;
-  options.policy.min_cone = 32;
-  options.policy.cone_fraction = 0.0;
   const auto updates = RandomUpdateStream(g, 1000, /*seed=*/400);
   const DifferentialReport report = RunDifferentialStream(g, updates, options);
   EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// Under the default policy, a cone over the budget takes the full
+// re-solve. The graph is K_601 beside a Chung-Lu graph: the stream first
+// deletes the clique's one selected vertex, which frees the other 600
+// (budget max(512, 2 % of 2,600 alive)), then runs a random stream. The
+// stream is short because every check walks the clique's 180k edges.
+TEST(DynamicDifferentialTest, OverBudgetConeStream) {
+  const Vertex clique = 601;
+  const Graph rest = ChungLuPowerLaw(2000, 3.0, 4.0, /*seed=*/21);
+  std::vector<Edge> edges = CompleteGraph(clique).CollectEdges();
+  for (const auto& [u, v] : rest.CollectEdges()) {
+    edges.emplace_back(u + clique, v + clique);
+  }
+  const Graph g = Graph::FromEdges(clique + rest.NumVertices(), edges);
+  const MisSolution sol = RunLinearTime(g);
+  Vertex s = 0;
+  while (!sol.in_set[s]) ++s;
+  ASSERT_LT(s, clique);
+  std::vector<GraphUpdate> updates = {GraphUpdate::DeleteVertex(s)};
+  for (GraphUpdate& up : RandomUpdateStream(g, 100, /*seed=*/600)) {
+    updates.push_back(std::move(up));
+  }
+  const DifferentialReport report =
+      RunDifferentialStream(g, updates, AcceptanceOptions());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_EQ(report.updates_applied, updates.size());
+
+  DynamicMisEngine engine(g);
+  EXPECT_TRUE(engine.Apply(updates[0]).full_resolve);
+  EXPECT_EQ(engine.stats().component_fallbacks, 1u);
 }
 
 // Tiny graphs hit the degenerate corners (empty graphs, single vertices,

@@ -266,27 +266,23 @@ TEST(DynamicEngineTest, InsertEdgeRevivesDeadEndpoint) {
 }
 
 TEST(DynamicEngineTest, ComponentFallbackOnHugeCone) {
-  // A tiny cone budget forces the component path: deleting the center of
-  // a big star frees every leaf at once.
-  const Vertex leaves = 64;
-  std::vector<Edge> edges;
-  for (Vertex i = 1; i <= leaves; ++i) edges.emplace_back(0, i);
-  const Graph g = Graph::FromEdges(leaves + 1, edges);
-  DynamicPolicy policy;
-  policy.min_cone = 4;
-  policy.cone_fraction = 0.0;
-  DynamicMisEngine engine(g, policy);
-  // The set is the leaves; delete them until the center flips in, then
-  // delete the center to free the remaining leaves in one shot.
-  ASSERT_EQ(engine.Size(), leaves);
-  for (Vertex i = 1; i <= leaves; ++i) {
-    engine.Apply(GraphUpdate::DeleteEdge(0, i));
-    ASSERT_TRUE(Sound(engine));
-  }
-  EXPECT_GT(engine.stats().component_fallbacks +
-                engine.stats().included_by_reduction,
-            0u);
-  EXPECT_EQ(engine.Size(), leaves + 1);  // all isolated now
+  // LinearTime takes exactly one vertex s of K_601; deleting s frees the
+  // other 600 at once, more than the default cone budget of 512, so the
+  // repair takes the full re-solve.
+  const Graph g = CompleteGraph(601);
+  DynamicMisEngine engine(g);
+  ASSERT_EQ(engine.Size(), 1u);
+  Vertex s = 0;
+  while (!engine.InSet(s)) ++s;
+  const uint64_t fallbacks = engine.stats().component_fallbacks;
+  const uint64_t resolves = engine.stats().full_resolves;
+  const UpdateOutcome out = engine.Apply(GraphUpdate::DeleteVertex(s));
+  EXPECT_TRUE(out.full_resolve);
+  EXPECT_EQ(out.cone, 600u);
+  EXPECT_EQ(engine.stats().component_fallbacks, fallbacks + 1);
+  EXPECT_EQ(engine.stats().full_resolves, resolves + 1);
+  EXPECT_EQ(engine.Size(), 1u);
+  EXPECT_TRUE(Sound(engine));
 }
 
 TEST(DynamicEngineTest, ForceResolveTightensTheBound) {

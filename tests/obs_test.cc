@@ -361,6 +361,7 @@ TEST(HistogramTest, RecordsIntoLogBucketsAndPublishes) {
   EXPECT_DOUBLE_EQ(h.QuantileSeconds(0.0), 1e-6);
   EXPECT_DOUBLE_EQ(h.QuantileSeconds(0.5), 4e-6);
   EXPECT_DOUBLE_EQ(h.QuantileSeconds(1.0), 128e-6);
+  EXPECT_DOUBLE_EQ(h.QuantileSeconds(0.99), 128e-6);  // nearest rank
 
   obs::MetricsRegistry metrics;
   h.PublishTo(metrics, "lat");
